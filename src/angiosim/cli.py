@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import RunConfig, load_config, parse_config
+from .config import RunConfig, _need_number, load_config, parse_config
 from .dynamics import run, write_diagnostics_csv, write_trajectory_csv
 from .errors import BelowThresholdError, ConfigError, SolverError
 from .grid import field_to_csv
@@ -45,7 +45,7 @@ _EXPERIMENT_KEYS = {
     "steady": set(),
     "simulate": set(),
     "classify": {"tau", "fit_window", "threshold"},
-    "sweep": {"lambda_values", "mu_values", "workers"},
+    "sweep": {"lambda_values", "mu_values"},
     "check-v": {"dimension", "delta", "envelope_alpha", "s_max"},
 }
 
@@ -133,17 +133,18 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path) -> list[str]:
 
 
 def _cmd_classify(cfg: RunConfig, outdir: Path) -> list[str]:
-    grid, traj = _run_trajectory(cfg)
+    exp = cfg.experiment
     kwargs = {}
-    if "threshold" in cfg.experiment:
-        kwargs["threshold"] = float(cfg.experiment["threshold"])
-    if "tau" in cfg.experiment:
-        kwargs["audit_tau"] = float(cfg.experiment["tau"])
-    if cfg.experiment.get("fit_window") is not None:
-        w = _float_list("experiment", "fit_window", cfg.experiment["fit_window"])
+    if "threshold" in exp:
+        kwargs["threshold"] = _need_number("experiment", "threshold", exp["threshold"])
+    if "tau" in exp:
+        kwargs["audit_tau"] = _need_number("experiment", "tau", exp["tau"])
+    if exp.get("fit_window") is not None:
+        w = _float_list("experiment", "fit_window", exp["fit_window"])
         if len(w) != 2:
             raise ConfigError("experiment.fit_window must hold exactly two numbers")
         kwargs["fit_window"] = (w[0], w[1])
+    grid, traj = _run_trajectory(cfg)
     report = classify_regime(traj, cfg.params(), grid, **kwargs)
     _json_dump(report.to_json_dict(), outdir / "report.json")
     outputs = ["report.json"]
@@ -163,13 +164,8 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path) -> list[str]:
         )
     lams = _float_list("experiment", "lambda_values", exp["lambda_values"])
     mus = _float_list("experiment", "mu_values", exp["mu_values"])
-    workers = exp.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"experiment.workers must be a positive integer, got {workers!r}")
     u0, v0 = cfg.initial_data(grid)
-    rows, reports = sweep(
-        grid, cfg.params(), cfg.control(), u0, v0, lams, mus, max_workers=workers
-    )
+    rows, reports = sweep(grid, cfg.params(), cfg.control(), u0, v0, lams, mus)
     outputs = []
     with open(outdir / "sweep_summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
@@ -200,10 +196,14 @@ def _cmd_check_v(cfg: RunConfig, outdir: Path) -> list[str]:
     d = exp.get("dimension", 1)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ConfigError(f"experiment.dimension must be a positive integer, got {d!r}")
-    delta = float(exp.get("delta", 0.1))
+    delta = _need_number("experiment", "delta", exp.get("delta", 0.1),
+                         minimum=0, strict_min=True, maximum=1)
     spec = cfg.sensitivity()
     alpha = exp.get("envelope_alpha", spec.envelope_exponent)
-    s_max = float(exp.get("s_max", 1.0))
+    if alpha is not None:
+        alpha = _need_number("experiment", "envelope_alpha", alpha, minimum=1)
+    s_max = _need_number("experiment", "s_max", exp.get("s_max", 1.0),
+                         minimum=0, strict_min=True)
     report: dict = {"sensitivity": spec.describe(), "dimension": d, "delta": delta}
     try:
         check_hypothesis2(spec)
@@ -216,10 +216,8 @@ def _cmd_check_v(cfg: RunConfig, outdir: Path) -> list[str]:
     except SolverError as exc:
         report["H1"] = {"pass": False, "reason": str(exc)}
     if alpha is not None:
-        report["envelope"] = check_growth_envelope(
-            spec, float(alpha), s_max
-        ).to_json_dict()
-        report["envelope"]["alpha"] = float(alpha)
+        report["envelope"] = check_growth_envelope(spec, alpha, s_max).to_json_dict()
+        report["envelope"]["alpha"] = alpha
         report["envelope"]["s_max"] = s_max
     report["f_g"] = f_g_diagnostics(spec, delta)
     _json_dump(report, outdir / "sensitivity_report.json")

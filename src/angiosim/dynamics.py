@@ -8,11 +8,12 @@ Equations on (0, L):
 with zero Neumann data for u at both ends and for v at the vessel end,
 and the outward flux v_x = mu*v/(1+v) at the tumor end.
 
-Scheme: IMEX Euler. Diffusion is implicit through the mirror-row
-tridiagonal solve; the chemotactic divergence, the logistic term and
--v - c*u*v are explicit. The nonlinear tumor-boundary flux of v is
-lagged: each step's implicit operator carries the Robin coefficient
-mu/(1 + v_old(L)).
+Scheme: IMEX Euler. Diffusion is implicit through a tridiagonal solve
+of I + dt*(-d2/dx2) with mirror rows, whose banded rows come from
+elliptic.banded_rows like every other matrix of the package; the
+chemotactic divergence, the logistic term and -v - c*u*v are explicit.
+The nonlinear tumor-boundary flux of v is lagged: each step's implicit
+operator carries the Robin coefficient mu/(1 + v_old(L)).
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -30,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .elliptic import banded_rows
 from .errors import PositivityError, SolverError
-from .grid import Field, Grid1D, integrate, make_field, norm
+from .grid import Field, Grid1D, l2_norm, make_field, trapezoid
 from .sensitivity import SensitivitySpec
 
 __all__ = [
@@ -135,6 +137,17 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
     return div
 
 
+def _cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
+            dt_safety: float) -> float:
+    grad = float(np.abs(np.diff(v)).max()) / h
+    grad = max(grad, abs(boundary_flux_v(p, v[-1])))
+    drift = float(np.abs(np.asarray(p.V.V_prime(u))).max()) * grad
+    advective = h / max(drift, DRIFT_FLOOR)
+    linf_u = float(np.abs(u).max())
+    reaction = 0.5 / max(p.lam + 2.0 * linf_u, 1.0 + p.c * linf_u)
+    return dt_safety * float(min(advective, reaction))
+
+
 def cfl_dt(state: SimState, p: ModelParams, grid: Grid1D,
            dt_safety: float = 0.4) -> float:
     """Largest safe step for the explicit terms, times dt_safety.
@@ -146,48 +159,26 @@ def cfl_dt(state: SimState, p: ModelParams, grid: Grid1D,
     nonnegativity-preserving (boundary cells are half-width, doubling
     their drain rate).
     """
-    u = state.u.values
-    v = state.v.values
-    h = grid.h
-    grad = float(np.abs(np.diff(v)).max()) / h if grid.n > 1 else 0.0
-    grad = max(grad, abs(boundary_flux_v(p, v[-1])))
-    drift = float(np.abs(np.asarray(p.V.V_prime(u))).max()) * grad
-    advective = h / max(drift, DRIFT_FLOOR)
-    linf_u = float(np.abs(u).max())
-    reaction = 0.5 / max(p.lam + 2.0 * linf_u, 1.0 + p.c * linf_u)
-    return dt_safety * float(min(advective, reaction))
+    return _cfl_dt(state.u.values, state.v.values, grid.h, p, dt_safety)
 
 
-def _imex_banded(grid: Grid1D, dt: float, robin_mu: float = 0.0) -> np.ndarray:
-    """(3, n) banded form of I + dt * (-d2/dx2) with mirror rows, plus an
-    optional lagged Robin term in the last diagonal entry."""
+def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
+             t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One IMEX Euler step from (u, v) at time t; returns the new arrays."""
     n, h = grid.n, grid.h
-    r = dt / (h * h)
-    ab = np.empty((3, n))
-    ab[0, :] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :] = -r
-    ab[0, 1] = -2.0 * r   # super-diagonal entry of row 0 (mirror)
-    ab[2, n - 2] = -2.0 * r  # sub-diagonal entry of row n-1 (mirror)
-    ab[1, n - 1] -= 2.0 * dt * robin_mu / h
-    return ab
-
-
-def _advance(grid: Grid1D, p: ModelParams, state: SimState, dt: float) -> SimState:
-    u = state.u.values
-    v = state.v.values
     div = chemotaxis_divergence(grid, u, v, p)
     u_rhs = u + dt * (-div + p.lam * u - u * u)
     v_rhs = v + dt * (-v - p.c * u * v)
-    mu_lagged = p.mu / (1.0 + v[-1])
+    r = dt / (h * h)
+    robin = -dt * (p.mu / (1.0 + v[-1]))  # lagged tumor-boundary flux
     try:
-        u_new = scipy.linalg.solve_banded((1, 1), _imex_banded(grid, dt), u_rhs)
+        u_new = scipy.linalg.solve_banded((1, 1), banded_rows(n, h, r, 1.0), u_rhs)
         v_new = scipy.linalg.solve_banded(
-            (1, 1), _imex_banded(grid, dt, mu_lagged), v_rhs
+            (1, 1), banded_rows(n, h, r, 1.0, robin), v_rhs
         )
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SolverError(f"implicit diffusion solve failed at t={state.t:g}: {exc}")
-    t_new = state.t + dt
+        raise SolverError(f"implicit diffusion solve failed at t={t:g}: {exc}")
+    t_new = t + dt
     low = float(min(u_new.min(), v_new.min()))
     if low < POSITIVITY_HARD_LIMIT or not (
         np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
@@ -197,25 +188,29 @@ def _advance(grid: Grid1D, p: ModelParams, state: SimState, dt: float) -> SimSta
             t=t_new,
             min_value=low,
         )
-    return SimState(t_new, make_field(grid, u_new), make_field(grid, v_new))
+    return u_new, v_new
 
 
 def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
     """One IMEX Euler step; dt from ctrl or, if unset, from cfl_dt."""
     grid = state.u.grid
     dt = ctrl.dt if ctrl.dt is not None else cfl_dt(state, p, grid, ctrl.dt_safety)
-    return _advance(grid, p, state, dt)
+    u, v = _advance(grid, p, state.u.values, state.v.values, state.t, dt)
+    return SimState(state.t + dt, make_field(grid, u), make_field(grid, v))
 
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-snapshot diagnostics of one simulation."""
+    """Snapshots plus per-snapshot diagnostics (the DIAG_COLUMNS series)
+    of one simulation."""
 
     grid: Grid1D
     params: ModelParams
     ctrl: StepControl
     states: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(
+        default_factory=lambda: {name: [] for name in DIAG_COLUMNS}
+    )
     min_u_overall: float = np.inf
     min_v_overall: float = np.inf
     steps_taken: int = 0
@@ -233,25 +228,26 @@ class Trajectory:
 
     def _record(self, state: SimState):
         p = self.params
-        u, v = state.u, state.v
-        d = self.diagnostics
-        d.setdefault("t", []).append(state.t)
-        d.setdefault("mass_u", []).append(integrate(u))
-        d.setdefault("mass_v", []).append(integrate(v))
-        d.setdefault("linf_u", []).append(norm(u, "Linf"))
-        d.setdefault("linf_v", []).append(norm(v, "Linf"))
-        d.setdefault("l2_u", []).append(norm(u, "L2"))
-        d.setdefault("l2_v", []).append(norm(v, "L2"))
-        d.setdefault("l2_u_minus_lam", []).append(
-            norm(make_field(self.grid, u.values - p.lam), "L2")
+        h = self.grid.h
+        u, v = state.u.values, state.v.values
+        flux = boundary_flux_v(p, v[-1])
+        row = (
+            state.t,
+            trapezoid(h, u),
+            trapezoid(h, v),
+            float(np.abs(u).max()),
+            float(np.abs(v).max()),
+            l2_norm(h, u),
+            l2_norm(h, v),
+            l2_norm(h, u - p.lam),
+            float(u.min()),
+            float(v.min()),
+            flux,
+            # integrand of the mass-balance boundary term: mu * V(u) v/(1+v)
+            float(np.asarray(p.V.V(u[-1]))) * flux,
         )
-        d.setdefault("min_u", []).append(float(u.values.min()))
-        d.setdefault("min_v", []).append(float(v.values.min()))
-        d.setdefault("boundary_flux_v", []).append(boundary_flux_v(p, v.values[-1]))
-        # integrand of the mass-balance boundary term: mu * V(u) v/(1+v)
-        d.setdefault("chem_boundary_flux", []).append(
-            float(np.asarray(p.V.V(u.values[-1]))) * boundary_flux_v(p, v.values[-1])
-        )
+        for name, value in zip(DIAG_COLUMNS, row):
+            self.diagnostics[name].append(value)
         self.states.append(state)
 
 
@@ -259,8 +255,10 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     """Integrate from (u0, v0) to t_end, recording every output_every
     steps (plus the initial and final states).
 
-    Initial data must be nonnegative. On a solver failure the partial
-    trajectory is attached to the raised exception as exc.trajectory.
+    The loop steps on plain arrays; Fields are built only for the
+    recorded snapshots. Initial data must be nonnegative. On a solver
+    failure the partial trajectory is attached to the raised exception
+    as exc.trajectory.
     """
     grid = u0.grid
     if v0.grid is not grid and (v0.grid.L != grid.L or v0.grid.n != grid.n):
@@ -268,26 +266,29 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     if u0.values.min() < 0 or v0.values.min() < 0:
         raise ValueError("initial data must be nonnegative")
     traj = Trajectory(grid=grid, params=p, ctrl=ctrl)
-    state = SimState(0.0, u0, v0)
-    traj.min_u_overall = float(u0.values.min())
-    traj.min_v_overall = float(v0.values.min())
-    traj._record(state)
+    u, v = u0.values, v0.values
+    traj.min_u_overall = float(u.min())
+    traj.min_v_overall = float(v.min())
+    traj._record(SimState(0.0, u0, v0))
+    t_stop = ctrl.t_end - 1e-12
+    t = 0.0
     k = 0
     try:
-        while state.t < ctrl.t_end - 1e-12:
+        while t < t_stop:
             if ctrl.dt is not None:
                 dt = ctrl.dt
             else:
-                dt = cfl_dt(state, p, grid, ctrl.dt_safety)
-            dt = min(dt, ctrl.t_end - state.t)
-            state = _advance(grid, p, state, dt)
+                dt = _cfl_dt(u, v, grid.h, p, ctrl.dt_safety)
+            dt = min(dt, ctrl.t_end - t)
+            u, v = _advance(grid, p, u, v, t, dt)
+            t = t + dt
             k += 1
             traj.steps_taken = k
             traj.max_dt_used = max(traj.max_dt_used, dt)
-            traj.min_u_overall = min(traj.min_u_overall, float(state.u.values.min()))
-            traj.min_v_overall = min(traj.min_v_overall, float(state.v.values.min()))
-            if k % ctrl.output_every == 0 or state.t >= ctrl.t_end - 1e-12:
-                traj._record(state)
+            traj.min_u_overall = min(traj.min_u_overall, float(u.min()))
+            traj.min_v_overall = min(traj.min_v_overall, float(v.min()))
+            if k % ctrl.output_every == 0 or t >= t_stop:
+                traj._record(SimState(t, make_field(grid, u), make_field(grid, v)))
     except SolverError as exc:
         exc.trajectory = traj
         raise
@@ -313,15 +314,16 @@ def write_diagnostics_csv(traj: Trajectory, fh, theta: Field | None = None) -> N
     """
     fh.write("t,mass_u,mass_v,linf_u,linf_v,l2_v_minus_theta,boundary_flux_v\n")
     theta_vals = theta.values if theta is not None else 0.0
+    h = traj.grid.h
+    d = traj.diagnostics
     for i, state in enumerate(traj.states):
-        dist = norm(make_field(traj.grid, state.v.values - theta_vals), "L2")
         row = (
-            traj.diagnostics["t"][i],
-            traj.diagnostics["mass_u"][i],
-            traj.diagnostics["mass_v"][i],
-            traj.diagnostics["linf_u"][i],
-            traj.diagnostics["linf_v"][i],
-            dist,
-            traj.diagnostics["boundary_flux_v"][i],
+            d["t"][i],
+            d["mass_u"][i],
+            d["mass_v"][i],
+            d["linf_u"][i],
+            d["linf_v"][i],
+            l2_norm(h, state.v.values - theta_vals),
+            d["boundary_flux_v"][i],
         )
         fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -5,8 +5,8 @@ normal-derivative condition is written with a centered difference
 through a fictitious node one spacing outside the domain, and the
 fictitious value is substituted into the regular second-difference row.
 The vessel end always carries a zero-Neumann row; the tumor end carries
-zero-Neumann, a linear Robin row, or a nonlinear flux condition
-dw/dn = g(w) solved by damped Newton.
+a linear Robin row (zero Neumann when its coefficient is 0), or a
+nonlinear flux condition dw/dn = g(w) solved by damped Newton.
 
 Sign convention for Robin data: the stored coefficient b means
 dw/dn = -b*w on the tumor boundary, so an outward flux dw/dn = mu*w
@@ -15,7 +15,6 @@ is represented by b = -mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,10 +28,8 @@ from .errors import (
 from .grid import Field, Grid1D, make_field
 
 __all__ = [
-    "BoundarySpec",
-    "BandedOperator",
+    "banded_rows",
     "assemble",
-    "apply_operator",
     "solve_linear",
     "solve_nonlinear_bvp",
     "flux_residual",
@@ -43,117 +40,53 @@ NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 8
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Boundary data: zero Neumann on the vessel end, and one of
-    {zero Neumann, linear Robin, nonlinear flux} on the tumor end."""
+def banded_rows(n: int, h: float, r: float, diag: float | np.ndarray,
+                robin: float = 0.0) -> np.ndarray:
+    """(3, n) scipy.linalg.solve_banded rows of diag + r*h^2*(-d2/dx2).
 
-    gamma2_kind: str  # "neumann" | "robin" | "flux"
-    robin_b: float = 0.0
-    flux: Callable[[float], float] | None = None
-    flux_prime: Callable[[float], float] | None = None
-
-    @staticmethod
-    def neumann() -> "BoundarySpec":
-        return BoundarySpec("neumann")
-
-    @staticmethod
-    def robin(b: float) -> "BoundarySpec":
-        """Linear Robin row dw/dn = -b*w at the tumor end."""
-        if not np.isfinite(b):
-            raise ValueError("Robin coefficient must be finite")
-        return BoundarySpec("robin", robin_b=float(b))
-
-    @staticmethod
-    def nonlinear_flux(g: Callable, g_prime: Callable) -> "BoundarySpec":
-        """Nonlinear outward flux dw/dn = g(w) at the tumor end.
-
-        g(0) must vanish so that the zero state stays a solution of the
-        homogeneous problem.
-        """
-        if abs(float(g(0.0))) > 1e-14:
-            raise ValueError("nonlinear boundary flux must satisfy g(0) = 0")
-        return BoundarySpec("flux", flux=g, flux_prime=g_prime)
-
-
-@dataclass(frozen=True)
-class BandedOperator:
-    """Tridiagonal matrix for -d2/dx2 + a(x) with boundary rows applied.
-
-    sub[i], diag[i], sup[i] hold row i's couplings to nodes i-1, i, i+1;
-    sub[0] and sup[n-1] are unused.
+    Mirror rows close both ends; the Robin coefficient adds 2*robin/h to
+    the tumor-end diagonal. This is the one place the operator's rows
+    are written: the elliptic solves use r = 1/h^2, the implicit
+    diffusion of a time step r = dt/h^2 with diag = 1.
     """
-
-    grid: Grid1D
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    a: Field
-    bc: BoundarySpec
-
-    def to_banded(self) -> np.ndarray:
-        """(3, n) array in scipy.linalg.solve_banded layout."""
-        n = self.grid.n
-        ab = np.zeros((3, n))
-        ab[0, 1:] = self.sup[:-1]
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.sub[1:]
-        return ab
+    ab = np.empty((3, n))
+    ab[0, :] = -r
+    ab[1, :] = 2.0 * r + diag
+    ab[2, :] = -r
+    ab[0, 1] = -2.0 * r  # super-diagonal entry of row 0 (mirror)
+    ab[2, n - 2] = -2.0 * r  # sub-diagonal entry of row n-1 (mirror)
+    ab[1, n - 1] += 2.0 * robin / h
+    return ab
 
 
-def assemble(grid: Grid1D, a: Field, bc: BoundarySpec) -> BandedOperator:
-    """Build the tridiagonal discretization of -d2/dx2 + a(x).
+def assemble(grid: Grid1D, a: Field, robin_b: float = 0.0) -> np.ndarray:
+    """Banded rows of -d2/dx2 + a(x) with the tumor-end row dw/dn = -robin_b*w
+    (robin_b = 0 is zero Neumann).
 
-    Only linear boundary kinds are assembled here; a nonlinear flux
-    condition has no fixed matrix and is handled by solve_nonlinear_bvp
-    (its Newton Jacobian is this operator with b = -g'(w) at the
-    current iterate).
+    A nonlinear flux condition has no fixed matrix: solve_nonlinear_bvp
+    assembles its Newton Jacobian here with robin_b = -g'(w) at the
+    current iterate.
     """
-    if not np.all(np.isfinite(a.values)):
-        raise ValueError("potential a(x) must be finite")
-    if bc.gamma2_kind == "flux":
-        raise ValueError(
-            "nonlinear flux rows are linearized per Newton step; "
-            "use solve_nonlinear_bvp or pass a robin() linearization"
-        )
-    n, h = grid.n, grid.h
-    inv_h2 = 1.0 / (h * h)
-    sub = np.full(n, -inv_h2)
-    sup = np.full(n, -inv_h2)
-    diag = np.full(n, 2.0 * inv_h2) + a.values
-    sup[0] = -2.0 * inv_h2  # mirror row at the vessel end
-    sub[-1] = -2.0 * inv_h2  # mirror row at the tumor end
-    if bc.gamma2_kind == "robin":
-        diag[-1] += 2.0 * bc.robin_b / h
-    return BandedOperator(grid, sub, diag, sup, a, bc)
+    if not (np.all(np.isfinite(a.values)) and np.isfinite(robin_b)):
+        raise ValueError("potential a(x) and Robin coefficient must be finite")
+    h = grid.h
+    return banded_rows(grid.n, h, 1.0 / (h * h), a.values, robin_b)
 
 
-def apply_operator(op: BandedOperator, w: np.ndarray | Field) -> np.ndarray:
-    """Tridiagonal matrix-vector product."""
-    v = w.values if isinstance(w, Field) else np.asarray(w, dtype=float)
-    n = op.grid.n
-    out = np.empty(n)
-    out[0] = op.diag[0] * v[0] + op.sup[0] * v[1]
-    out[1:-1] = op.sub[1:-1] * v[:-2] + op.diag[1:-1] * v[1:-1] + op.sup[1:-1] * v[2:]
-    out[-1] = op.sub[-1] * v[-2] + op.diag[-1] * v[-1]
-    return out
-
-
-def solve_linear(op: BandedOperator, rhs: Field | np.ndarray) -> Field:
-    """Direct banded solve of op * w = rhs.
+def solve_linear(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Direct banded solve of the assembled rows ab against rhs.
 
     A singular or numerically broken-down factorization raises
     SpectralShiftError so eigenvalue callers can re-shift and retry.
     """
-    b = rhs.values if isinstance(rhs, Field) else np.asarray(rhs, dtype=float)
     try:
-        w = scipy.linalg.solve_banded((1, 1), op.to_banded(), b)
+        w = scipy.linalg.solve_banded((1, 1), ab, rhs)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
         raise SpectralShiftError(f"banded solve failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise SpectralShiftError("banded solve produced non-finite values "
                                  "(singular or near-singular pivot)")
-    return make_field(op.grid, w)
+    return w
 
 
 def _second_difference(w: np.ndarray, h: float) -> np.ndarray:
@@ -221,9 +154,9 @@ def solve_nonlinear_bvp(
         tol_eff = max(tol, 4.0 * eps * float(np.abs(w).max()) / h2)
         if rnorm <= tol_eff:
             return make_field(grid, w)
-        jac = assemble(grid, a, BoundarySpec.robin(-float(g_prime(w[-1]))))
+        jac = assemble(grid, a, -float(g_prime(w[-1])))
         try:
-            delta = solve_linear(jac, -r).values
+            delta = solve_linear(jac, -r)
         except SpectralShiftError as exc:
             raise SingularJacobianError(f"Newton Jacobian solve failed: {exc}") from exc
         full = None

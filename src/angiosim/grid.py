@@ -1,5 +1,4 @@
-"""Uniform 1D grids on (0, L) with labeled boundary points, nodal fields,
-and trapezoidal quadrature.
+"""Uniform 1D grids on (0, L), nodal fields, and trapezoidal quadrature.
 
 The left endpoint (index 0) is the vessel boundary, the right endpoint
 (index n-1) the tumor boundary. Grids and fields are immutable after
@@ -8,8 +7,6 @@ construction and safe to share between concurrent runs.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,16 +22,15 @@ __all__ = [
     "field_from_callable",
     "integrate",
     "norm",
+    "trapezoid",
+    "l2_norm",
     "field_to_csv",
-    "field_from_csv",
-    "grid_to_json",
-    "grid_from_json",
 ]
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Equispaced nodes on [0, L] with the two boundary points labeled."""
+    """Equispaced nodes on [0, L]."""
 
     L: float
     n: int
@@ -47,16 +43,6 @@ class Grid1D:
         nodes.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def gamma1_index(self) -> int:
-        """Index of the vessel-boundary node."""
-        return 0
-
-    @property
-    def gamma2_index(self) -> int:
-        """Index of the tumor-boundary node."""
-        return self.n - 1
 
     def quadrature_weights(self) -> np.ndarray:
         """Trapezoidal weights: h at interior nodes, h/2 at the ends."""
@@ -107,20 +93,28 @@ def field_from_callable(grid: Grid1D, fn) -> Field:
     return Field(grid, np.asarray(fn(grid.nodes), dtype=float))
 
 
-def integrate(f: Field) -> float:
-    """Composite trapezoidal approximation of the integral over (0, L).
+def trapezoid(h: float, v: np.ndarray) -> float:
+    """Composite trapezoidal integral of nodal values v at spacing h.
 
     Exact for affine integrands.
     """
-    v = f.values
-    return float(f.grid.h * (v.sum() - 0.5 * (v[0] + v[-1])))
+    return float(h * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+
+def l2_norm(h: float, v: np.ndarray) -> float:
+    """Quadrature-based L2 norm of nodal values v at spacing h."""
+    return float(np.sqrt(max(trapezoid(h, v * v), 0.0)))
+
+
+def integrate(f: Field) -> float:
+    """Composite trapezoidal approximation of the integral over (0, L)."""
+    return trapezoid(f.grid.h, f.values)
 
 
 def norm(f: Field, kind: str = "L2") -> float:
     """L2 (quadrature-based) or Linf norm of a field."""
     if kind == "L2":
-        sq = Field(f.grid, f.values * f.values)
-        return float(np.sqrt(max(integrate(sq), 0.0)))
+        return l2_norm(f.grid.h, f.values)
     if kind == "Linf":
         return float(np.abs(f.values).max())
     raise ValueError(f"unknown norm kind {kind!r}; expected 'L2' or 'Linf'")
@@ -131,27 +125,3 @@ def field_to_csv(f: Field, fh) -> None:
     fh.write("x,value\n")
     for x, v in zip(f.grid.nodes, f.values):
         fh.write(f"{float(x)!r},{float(v)!r}\n")
-
-
-def field_from_csv(grid: Grid1D, fh) -> Field:
-    """Read a field previously written by field_to_csv."""
-    header = fh.readline().strip()
-    if header != "x,value":
-        raise ValueError(f"unexpected field CSV header {header!r}")
-    vals = []
-    for line in fh:
-        line = line.strip()
-        if line:
-            vals.append(float(line.split(",")[1]))
-    return make_field(grid, vals)
-
-
-def grid_to_json(grid: Grid1D) -> str:
-    return json.dumps({"L": grid.L, "n": grid.n}, sort_keys=True)
-
-
-def grid_from_json(text: str | io.TextIOBase) -> Grid1D:
-    if hasattr(text, "read"):
-        text = text.read()
-    d = json.loads(text)
-    return make_grid(d["L"], d["n"])

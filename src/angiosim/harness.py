@@ -18,7 +18,7 @@ import numpy as np
 from . import sensitivity as sens
 from .dynamics import ModelParams, StepControl, Trajectory, run
 from .errors import CannotFitError, SolverError
-from .grid import Field, Grid1D, make_field, norm
+from .grid import Field, Grid1D, l2_norm
 from .spectral import alpha_of_mu, compute_mu1
 from .steady import theta_mu
 
@@ -261,7 +261,7 @@ def classify_regime(
     dist_v = linf_v
     if p.mu > mu1:
         theta = theta_mu(grid, p.mu)
-        dist_v_theta = norm(make_field(grid, v_vals - theta.values), "L2")
+        dist_v_theta = l2_norm(grid.h, v_vals - theta.values)
 
     if dist_u_lam < threshold and linf_v < threshold:
         verdict = VERDICT_TO_LAM0
@@ -377,50 +377,28 @@ def sweep(
     v0: Field,
     lambda_values,
     mu_values,
-    max_workers: int = 1,
 ) -> tuple[list[dict], list[RegimeReport | None]]:
     """Classify every (lambda, mu) cell of the cartesian product.
 
     Cells are independent; failures are recorded in their row and do not
     stop the sweep. Returns (rows, reports) in row-major (lambda, mu)
-    order regardless of execution order.
+    order.
     """
     if not lambda_values or not mu_values:
         raise ValueError("sweep needs nonempty lambda and mu lists")
-    cells = [(lam, mu) for lam in lambda_values for mu in mu_values]
-
-    def run_cell(cell):
-        lam, mu = cell
-        p = replace(base_params, lam=lam, mu=mu)
-        traj = run(u0, v0, p, ctrl)
-        return classify_regime(traj, p, grid)
-
-    reports: list[RegimeReport | None] = [None] * len(cells)
-    rows: list[dict] = [{} for _ in cells]
-
-    def finish(i, report=None, error=None):
-        if report is not None:
-            reports[i] = report
-            rows[i] = _sweep_row(report)
-        else:
-            lam, mu = cells[i]
-            rows[i] = {k: "" for k in SWEEP_COLUMNS}
-            rows[i].update({"lambda": lam, "mu": mu, "verdict": f"error: {error}"})
-
-    if max_workers <= 1:
-        for i, cell in enumerate(cells):
+    rows: list[dict] = []
+    reports: list[RegimeReport | None] = []
+    for lam in lambda_values:
+        for mu in mu_values:
+            p = replace(base_params, lam=lam, mu=mu)
             try:
-                finish(i, run_cell(cell))
+                report = classify_regime(run(u0, v0, p, ctrl), p, grid)
             except SolverError as exc:
-                finish(i, error=exc)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {pool.submit(run_cell, cell): i for i, cell in enumerate(cells)}
-            for fut, i in futures.items():
-                try:
-                    finish(i, fut.result())
-                except SolverError as exc:
-                    finish(i, error=exc)
+                row = {k: "" for k in SWEEP_COLUMNS}
+                row.update({"lambda": lam, "mu": mu, "verdict": f"error: {exc}"})
+                rows.append(row)
+                reports.append(None)
+            else:
+                rows.append(_sweep_row(report))
+                reports.append(report)
     return rows, reports

@@ -11,17 +11,12 @@ the unit-potential operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (
-    BandedOperator,
-    BoundarySpec,
-    assemble,
-    flux_residual,
-    solve_linear,
-)
+from .elliptic import assemble, flux_residual, solve_linear
 from .errors import (
     EigenPositivityError,
     NonConvergenceError,
@@ -50,26 +45,23 @@ class EigenResult:
     iterations: int
 
 
-def _shifted(op: BandedOperator, shift: float) -> BandedOperator:
-    return BandedOperator(op.grid, op.sub, op.diag - shift, op.sup, op.a, op.bc)
-
-
-def _inverse_iteration(op: BandedOperator, robin_mu: float, shift: float) -> EigenResult:
-    grid = op.grid
+def _inverse_iteration(grid: Grid1D, a: Field, robin_mu: float,
+                       shift: float) -> EigenResult:
     weights = grid.quadrature_weights()
-    shifted = _shifted(op, shift)
+    shifted = assemble(grid, a, -robin_mu)
+    shifted[1] -= shift
     zero_src = np.zeros(grid.n)
     y = np.full(grid.n, 1.0)
     lam_old = None
     for iteration in range(1, MAX_ITER + 1):
-        y = solve_linear(shifted, y).values
+        y = solve_linear(shifted, y)
         y = y / np.abs(y).max()
         if y[np.argmax(np.abs(y))] < 0:
             y = -y
         # cancellation-safe matvec: second differences of neighbors, then
         # potential and boundary terms; keeps Rayleigh quotients and
         # residuals at the true floating-point floor
-        ay = flux_residual(grid, op.a, lambda w: robin_mu * w, y, zero_src)
+        ay = flux_residual(grid, a, lambda w: robin_mu * w, y, zero_src)
         wy = weights * y
         lam = float(np.dot(wy, ay) / np.dot(wy, y))
         residual = float(np.abs(ay - lam * y).max())
@@ -102,12 +94,11 @@ def principal_eigen(grid: Grid1D, a: Field, robin_mu: float) -> EigenResult:
     solve breaks down on a pivot the shift is lowered by 1 and the
     iteration restarted, up to MAX_SHIFT_RETRIES times.
     """
-    op = assemble(grid, a, BoundarySpec.robin(-robin_mu))
     shift0 = min(0.0, float(a.values.min())) - 1.0
     last_exc: SpectralShiftError | None = None
     for retry in range(MAX_SHIFT_RETRIES + 1):
         try:
-            return _inverse_iteration(op, robin_mu, shift0 - retry)
+            return _inverse_iteration(grid, a, robin_mu, shift0 - retry)
         except SpectralShiftError as exc:
             last_exc = exc
     raise NonConvergenceError(
@@ -129,7 +120,15 @@ def compute_mu1(grid: Grid1D, tol: float = MU1_TOL) -> float:
     alpha is strictly decreasing in mu (the Robin term only weakens the
     quadratic form), so bisection on a sign-changing bracket is safe.
     The bracket starts at [0, 1] and doubles its right end if needed.
+    The threshold is a pure function of the grid, so it is computed once
+    per (L, n, tol) and cached.
     """
+    return _mu1(grid.L, grid.n, tol)
+
+
+@functools.cache
+def _mu1(L: float, n: int, tol: float) -> float:
+    grid = Grid1D(L, n)
     lo, hi = 0.0, 1.0
     alpha_lo = alpha_of_mu(grid, lo)
     if alpha_lo <= 0.0:

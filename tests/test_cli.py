@@ -141,6 +141,25 @@ def test_cli_unknown_experiment_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "subcommand, experiment, key",
+    [
+        ("classify", {"threshold": "abc"}, "threshold"),
+        ("classify", {"tau": None}, "tau"),
+        ("check-v", {"delta": 2.0}, "delta"),
+        ("check-v", {"s_max": "x"}, "s_max"),
+        ("check-v", {"envelope_alpha": 0.5}, "envelope_alpha"),
+        ("sweep", {"lambda_values": [0.0], "mu_values": [0.5], "workers": 2}, "workers"),
+    ],
+)
+def test_cli_bad_experiment_value_exits_2(tmp_path, capsys, subcommand, experiment, key):
+    doc = {"grid": {"n": 33}, "time": {"dt": 0.01, "t_end": 0.1},
+           "io": {"outdir": str(tmp_path / "o")}, "experiment": experiment}
+    cfg = write_config(tmp_path, doc)
+    assert main([subcommand, "--config", cfg]) == 2
+    assert f"experiment.{key}" in capsys.readouterr().err
+
+
 def _small_classify_doc(outdir):
     return {
         "grid": {"n": 65},

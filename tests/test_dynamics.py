@@ -207,6 +207,26 @@ def test_run_determinism(grid65):
     assert list(a.times) == list(b.times)
 
 
+def test_run_matches_step_loop_bitwise(grid65):
+    # run steps on plain arrays, step on Fields: both must take the same
+    # arithmetic path. dt = 2^-7 keeps every t exact, so run never
+    # shortens its last step.
+    p = ModelParams(lam=0.3, mu=1.2, c=1.0, V=saturating_power(2.0))
+    ctrl = StepControl(t_end=0.25, dt=2.0**-7, output_every=8)
+    u0 = make_field(grid65, 0.5 + 0.1 * np.cos(np.pi * grid65.nodes))
+    v0 = const_field(grid65, 0.5)
+    traj = run(u0, v0, p, ctrl)
+    assert traj.steps_taken == 32
+    state = SimState(0.0, u0, v0)
+    for k in range(1, 33):
+        state = step(state, p, ctrl)
+        if k % 8 == 0:
+            snap = traj.states[k // 8]
+            assert snap.t == state.t
+            assert np.array_equal(snap.u.values, state.u.values)
+            assert np.array_equal(snap.v.values, state.v.values)
+
+
 def test_trajectory_csv_writers(grid65, tmp_path):
     p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     ctrl = StepControl(t_end=0.2, dt=0.01, output_every=10)

@@ -1,5 +1,4 @@
 import io
-import json
 import math
 
 import numpy as np
@@ -9,10 +8,7 @@ from angiosim.errors import DomainConfigError
 from angiosim.grid import (
     const_field,
     field_from_callable,
-    field_from_csv,
     field_to_csv,
-    grid_from_json,
-    grid_to_json,
     integrate,
     make_field,
     make_grid,
@@ -23,8 +19,6 @@ from angiosim.grid import (
 def test_make_grid_nodes():
     g = make_grid(1.0, 5)
     assert np.allclose(g.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert g.gamma1_index == 0
-    assert g.gamma2_index == 4
 
 
 def test_make_grid_spacing():
@@ -114,12 +108,8 @@ def test_field_csv_round_trip(grid65):
     buf = io.StringIO()
     field_to_csv(f, buf)
     buf.seek(0)
-    g = field_from_csv(grid65, buf)
-    assert np.array_equal(f.values, g.values)
-
-
-def test_grid_json_round_trip():
-    g = make_grid(2.5, 41)
-    g2 = grid_from_json(grid_to_json(g))
-    assert g2.L == g.L and g2.n == g.n
-    assert json.loads(grid_to_json(g)) == {"L": 2.5, "n": 41}
+    assert buf.readline() == "x,value\n"
+    table = np.loadtxt(buf, delimiter=",", ndmin=2)
+    # repr-formatted floats parse back bit for bit
+    assert np.array_equal(table[:, 0], grid65.nodes)
+    assert np.array_equal(table[:, 1], f.values)

@@ -148,17 +148,6 @@ def test_sweep_rows_and_order():
         assert row["verdict"] in (VERDICT_TO_LAM0, VERDICT_TO_THETA, VERDICT_UNDECIDED)
 
 
-def test_sweep_parallel_matches_serial():
-    g = make_grid(1.0, 65)
-    base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
-    ctrl = StepControl(t_end=2.0, dt=None, output_every=20)
-    u0 = const_field(g, 0.5)
-    v0 = const_field(g, 0.5)
-    serial, _ = sweep(g, base, ctrl, u0, v0, [0.0, 1.0], [0.3, 0.9])
-    parallel, _ = sweep(g, base, ctrl, u0, v0, [0.0, 1.0], [0.3, 0.9], max_workers=4)
-    assert serial == parallel
-
-
 def test_sweep_records_cell_failures():
     g = make_grid(1.0, 65)
     base = ModelParams(lam=0.0, mu=0.0, c=1.0, V=saturating_power(1.0))

@@ -91,7 +91,10 @@ def test_alpha_strictly_decreasing(grid257):
 
 
 def test_compute_mu1_unit_interval(grid257):
-    assert compute_mu1(grid257) == pytest.approx(math.tanh(1.0), abs=1e-4)
+    mu1 = compute_mu1(grid257)
+    assert mu1 == pytest.approx(math.tanh(1.0), abs=1e-4)
+    # cached per (L, n, tol): an equal grid returns the identical float
+    assert compute_mu1(make_grid(1.0, 257)) is mu1
 
 
 def test_compute_mu1_longer_interval():
@@ -107,6 +110,8 @@ def test_compute_mu1_refinement():
 
 
 def test_threshold_search_error_paths(grid65, monkeypatch):
+    # bypass the per-grid cache so the search runs on the patched map
+    monkeypatch.setattr(spectral, "_mu1", spectral._mu1.__wrapped__)
     monkeypatch.setattr(spectral, "alpha_of_mu", lambda g, mu: -1.0)
     with pytest.raises(ThresholdSearchError):
         compute_mu1(grid65)
