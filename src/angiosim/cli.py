@@ -113,21 +113,18 @@ def _run_trajectory(cfg: RunConfig):
     return grid, run(u0, v0, cfg.params(), cfg.control())
 
 
-def _theta_or_none(grid, mu):
-    try:
-        return theta_mu(grid, mu)
-    except BelowThresholdError:
-        return None
-
-
 def _cmd_simulate(cfg: RunConfig, outdir: Path) -> list[str]:
     grid, traj = _run_trajectory(cfg)
     outputs = []
     if "csv" in cfg.formats:
         with open(outdir / "trajectory.csv", "w", encoding="utf-8", newline="") as fh:
             write_trajectory_csv(traj, fh)
+        try:
+            theta = theta_mu(grid, cfg.mu)
+        except BelowThresholdError:
+            theta = None
         with open(outdir / "diagnostics.csv", "w", encoding="utf-8", newline="") as fh:
-            write_diagnostics_csv(traj, fh, theta=_theta_or_none(grid, cfg.mu))
+            write_diagnostics_csv(traj, fh, theta=theta)
         outputs += ["trajectory.csv", "diagnostics.csv"]
     return outputs
 
@@ -150,7 +147,7 @@ def _cmd_classify(cfg: RunConfig, outdir: Path) -> list[str]:
     outputs = ["report.json"]
     if "csv" in cfg.formats:
         with open(outdir / "diagnostics.csv", "w", encoding="utf-8", newline="") as fh:
-            write_diagnostics_csv(traj, fh, theta=_theta_or_none(grid, cfg.mu))
+            write_diagnostics_csv(traj, fh, theta=report.theta)
         outputs.append("diagnostics.csv")
     return outputs
 
@@ -163,7 +160,8 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path) -> list[str]:
             "experiment.lambda_values and experiment.mu_values are required for sweep"
         )
     lams = _float_list("experiment", "lambda_values", exp["lambda_values"])
-    mus = _float_list("experiment", "mu_values", exp["mu_values"])
+    mus = [_need_number("experiment", "mu_values", mu, minimum=0)
+           for mu in _float_list("experiment", "mu_values", exp["mu_values"])]
     u0, v0 = cfg.initial_data(grid)
     rows, reports = sweep(grid, cfg.params(), cfg.control(), u0, v0, lams, mus)
     outputs = []

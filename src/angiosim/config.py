@@ -169,7 +169,7 @@ def parse_config(text: str) -> RunConfig:
     if "lambda" in model:
         cfg.lam = _need_number("model", "lambda", model["lambda"])
     if "mu" in model:
-        cfg.mu = _need_number("model", "mu", model["mu"])
+        cfg.mu = _need_number("model", "mu", model["mu"], minimum=0)
     if "c" in model:
         cfg.c = _need_number("model", "c", model["c"], minimum=0)
     sens_sec = model.get("sensitivity", {})

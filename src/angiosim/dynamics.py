@@ -8,12 +8,14 @@ Equations on (0, L):
 with zero Neumann data for u at both ends and for v at the vessel end,
 and the outward flux v_x = mu*v/(1+v) at the tumor end.
 
-Scheme: IMEX Euler. Diffusion is implicit through a tridiagonal solve
-of I + dt*(-d2/dx2) with mirror rows, whose banded rows come from
-elliptic.banded_rows like every other matrix of the package; the
-chemotactic divergence, the logistic term and -v - c*u*v are explicit.
-The nonlinear tumor-boundary flux of v is lagged: each step's implicit
-operator carries the Robin coefficient mu/(1 + v_old(L)).
+Scheme: IMEX Euler. Diffusion is implicit through one tridiagonal solve
+of I + dt*(-d2/dx2) with mirror rows (elliptic.banded_rows), shared by u
+and v. The chemotactic divergence, the logistic term, -v - c*u*v and the
+tumor flux of v are explicit; the flux enters v's tumor-end row as the
+source (2*dt/h)*mu*v/(1+v) in [0, 2*dt*mu/h]. So the matrix depends only
+on (n, h, dt) and is an M-matrix for every dt, and theta_mu is a fixed
+point of the step. Only the explicit chemotaxis and reactions can drive
+a density negative, which raises PositivityError.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -64,7 +66,7 @@ class ModelParams:
     """Full parameterization of the coupled system.
 
     lam: logistic growth rate of u (any real).
-    mu: tumor-boundary flux strength for v (any real).
+    mu: tumor-boundary flux strength for v, >= 0 (a source, not a sink).
     c: consumption rate, >= 0. The model proper has c > 0; c = 0 is
        admitted so the decoupled v-problem can be run as a comparison
        (supersolution) twin of a coupled run.
@@ -80,6 +82,8 @@ class ModelParams:
         for name in ("lam", "mu", "c"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"model parameter {name} must be finite")
+        if self.mu < 0:
+            raise ValueError(f"flux strength mu must be >= 0, got {self.mu}")
         if self.c < 0:
             raise ValueError(f"consumption rate c must be >= 0, got {self.c}")
 
@@ -165,30 +169,26 @@ def cfl_dt(state: SimState, p: ModelParams, grid: Grid1D,
 def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
              t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One IMEX Euler step from (u, v) at time t; returns the new arrays."""
-    n, h = grid.n, grid.h
+    h = grid.h
     div = chemotaxis_divergence(grid, u, v, p)
-    u_rhs = u + dt * (-div + p.lam * u - u * u)
     v_rhs = v + dt * (-v - p.c * u * v)
-    r = dt / (h * h)
-    robin = -dt * (p.mu / (1.0 + v[-1]))  # lagged tumor-boundary flux
+    # Explicit tumor-flux source: keeps the shared matrix state-free.
+    v_rhs[-1] += 2.0 * dt / h * boundary_flux_v(p, v[-1])
+    rhs = np.column_stack((u + dt * (-div + p.lam * u - u * u), v_rhs))
+    ab = banded_rows(grid.n, h, dt / (h * h), 1.0)
     try:
-        u_new = scipy.linalg.solve_banded((1, 1), banded_rows(n, h, r, 1.0), u_rhs)
-        v_new = scipy.linalg.solve_banded(
-            (1, 1), banded_rows(n, h, r, 1.0, robin), v_rhs
-        )
+        uv = scipy.linalg.solve_banded((1, 1), ab, rhs)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise SolverError(f"implicit diffusion solve failed at t={t:g}: {exc}")
     t_new = t + dt
-    low = float(min(u_new.min(), v_new.min()))
-    if low < POSITIVITY_HARD_LIMIT or not (
-        np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))
-    ):
+    low = float(uv.min())
+    if low < POSITIVITY_HARD_LIMIT or not np.all(np.isfinite(uv)):
         raise PositivityError(
             f"density dropped to {low:.3e} at t={t_new:g}; dt={dt:g} is too large",
             t=t_new,
             min_value=low,
         )
-    return u_new, v_new
+    return uv[:, 0], uv[:, 1]
 
 
 def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:

@@ -47,7 +47,7 @@ def banded_rows(n: int, h: float, r: float, diag: float | np.ndarray,
     Mirror rows close both ends; the Robin coefficient adds 2*robin/h to
     the tumor-end diagonal. This is the one place the operator's rows
     are written: the elliptic solves use r = 1/h^2, the implicit
-    diffusion of a time step r = dt/h^2 with diag = 1.
+    diffusion of a time step r = dt/h^2 with diag = 1 and robin = 0.
     """
     ab = np.empty((3, n))
     ab[0, :] = -r

@@ -190,6 +190,7 @@ class RegimeReport:
     hypothesis_h1: sens.H1Report | None = None
     hypothesis_envelope: sens.EnvelopeReport | None = None
     fit_errors: list = field(default_factory=list)
+    theta: Field | None = None  # steady profile when mu > mu1; not in JSON
 
     def fit_for(self, quantity: str) -> DecayFit | None:
         for f in self.fits:
@@ -340,6 +341,7 @@ def classify_regime(
         hypothesis_h1=h1,
         hypothesis_envelope=envelope,
         fit_errors=fit_errors,
+        theta=theta,
     )
 
 

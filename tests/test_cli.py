@@ -26,6 +26,8 @@ def test_parse_config_type_error_names_key():
 def test_parse_config_bounds_error_names_key():
     with pytest.raises(ConfigError, match="n"):
         parse_config('{"grid": {"n": 2}}')
+    with pytest.raises(ConfigError, match="mu"):
+        parse_config('{"model": {"mu": -0.5}}')
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -150,6 +152,7 @@ def test_cli_unknown_experiment_key_exits_2(tmp_path, capsys):
         ("check-v", {"s_max": "x"}, "s_max"),
         ("check-v", {"envelope_alpha": 0.5}, "envelope_alpha"),
         ("sweep", {"lambda_values": [0.0], "mu_values": [0.5], "workers": 2}, "workers"),
+        ("sweep", {"lambda_values": [0.0], "mu_values": [0.5, -0.5]}, "mu_values"),
     ],
 )
 def test_cli_bad_experiment_value_exits_2(tmp_path, capsys, subcommand, experiment, key):
@@ -179,6 +182,30 @@ def test_cli_classify_report(tmp_path):
         "converged-to-(lambda,0)", "converged-to-(0,theta_mu)", "undecided"
     )
     assert (tmp_path / "o" / "diagnostics.csv").exists()
+
+
+def test_cli_classify_solves_theta_once(tmp_path, monkeypatch):
+    import angiosim.cli
+    import angiosim.harness
+    from angiosim.steady import theta_mu
+
+    calls = []
+
+    def counted(grid, mu):
+        calls.append(mu)
+        return theta_mu(grid, mu)
+
+    monkeypatch.setattr(angiosim.harness, "theta_mu", counted)
+    monkeypatch.setattr(angiosim.cli, "theta_mu", counted)
+    doc = {
+        "grid": {"n": 33},
+        "model": {"lambda": 0.0, "mu": 1.2},
+        "time": {"dt": 0.05, "t_end": 1.0},
+        "io": {"outdir": str(tmp_path / "o"), "formats": ["csv", "json"]},
+    }
+    assert main(["classify", "--config", write_config(tmp_path, doc)]) == 0
+    assert (tmp_path / "o" / "diagnostics.csv").exists()
+    assert calls == [1.2]
 
 
 def test_cli_simulate_outputs(tmp_path):

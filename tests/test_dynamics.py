@@ -16,7 +16,7 @@ from angiosim.dynamics import (
 from angiosim.errors import PositivityError
 from angiosim.grid import const_field, make_field, make_grid
 from angiosim.sensitivity import saturating_power
-
+from angiosim.steady import theta_mu
 
 
 def test_model_params_validation(zero_V):
@@ -24,6 +24,8 @@ def test_model_params_validation(zero_V):
         ModelParams(lam=0.0, mu=0.5, c=-1.0, V=zero_V)
     with pytest.raises(ValueError):
         ModelParams(lam=math.nan, mu=0.5, c=1.0, V=zero_V)
+    with pytest.raises(ValueError):
+        ModelParams(lam=0.0, mu=-0.5, c=1.0, V=zero_V)  # flux is a source
     ModelParams(lam=0.0, mu=0.5, c=0.0, V=zero_V)  # c = 0 allowed (comparison runs)
 
 
@@ -132,6 +134,33 @@ def test_positivity_error_on_reckless_dt():
         run(make_field(g, u), v, p, ctrl)
     assert exc_info.value.trajectory is not None
     assert exc_info.value.min_value < -1e-9
+
+
+@pytest.mark.parametrize(
+    "n, mu, dt, t_end",
+    [(33, 50.0, None, 1.0), (257, 50.0, None, 0.3), (33, 5.0, 0.3, 3.0), (33, 3.0, 0.6, 3.0)],
+)
+def test_tiny_attractant_large_flux_stays_nonnegative(n, mu, dt, t_end):
+    # A lagged Robin row -2*dt*mu/(1+v(L))/h in the v matrix drove v
+    # negative on the first step here; the explicit boundary source cannot.
+    g = make_grid(1.0, n)
+    p = ModelParams(lam=0.0, mu=mu, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(g, 0.5), const_field(g, 1e-6), p,
+               StepControl(t_end=t_end, dt=dt))
+    assert traj.times[-1] == pytest.approx(t_end, abs=1e-12)
+    assert traj.min_u_overall >= 0.0
+    assert traj.min_v_overall >= 0.0
+
+
+@pytest.mark.parametrize("dt", [0.05, 1.0])
+def test_theta_is_fixed_point_of_the_step(grid65, dt):
+    # The boundary source (2*dt/h)*mu*v/(1+v) makes the step's fixed point
+    # the discrete steady profile that flux_residual defines, for any dt.
+    theta = theta_mu(grid65, 1.2)
+    p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(grid65, 0.0), theta, p, StepControl(t_end=5.0, dt=dt))
+    assert traj.times[-1] == pytest.approx(5.0, abs=1e-12)
+    assert np.abs(traj.final_state().v.values - theta.values).max() <= 1e-10
 
 
 def test_snapshot_schedule_and_diagnostics(grid65):
