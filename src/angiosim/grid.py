@@ -19,8 +19,6 @@ __all__ = [
     "make_grid",
     "make_field",
     "const_field",
-    "field_from_callable",
-    "integrate",
     "norm",
     "trapezoid",
     "l2_norm",
@@ -89,10 +87,6 @@ def const_field(grid: Grid1D, value: float) -> Field:
     return Field(grid, np.full(grid.n, float(value)))
 
 
-def field_from_callable(grid: Grid1D, fn) -> Field:
-    return Field(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-
 def trapezoid(h: float, v: np.ndarray) -> float:
     """Composite trapezoidal integral of nodal values v at spacing h.
 
@@ -104,11 +98,6 @@ def trapezoid(h: float, v: np.ndarray) -> float:
 def l2_norm(h: float, v: np.ndarray) -> float:
     """Quadrature-based L2 norm of nodal values v at spacing h."""
     return float(np.sqrt(max(trapezoid(h, v * v), 0.0)))
-
-
-def integrate(f: Field) -> float:
-    """Composite trapezoidal approximation of the integral over (0, L)."""
-    return trapezoid(f.grid.h, f.values)
 
 
 def norm(f: Field, kind: str = "L2") -> float:

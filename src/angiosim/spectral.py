@@ -110,7 +110,13 @@ def principal_eigen(grid: Grid1D, a: Field, robin_mu: float) -> EigenResult:
 def alpha_of_mu(grid: Grid1D, mu: float) -> float:
     """Decay exponent: principal eigenvalue of -d2/dx2 + 1 with
     dw/dn = mu*w on the tumor end. Positive exactly when mu is below
-    the flux threshold."""
+    the flux threshold. Computed once per (L, n, mu) and cached."""
+    return _alpha(grid.L, grid.n, mu)
+
+
+@functools.cache
+def _alpha(L: float, n: int, mu: float) -> float:
+    grid = Grid1D(L, n)
     return principal_eigen(grid, const_field(grid, 1.0), mu).eigenvalue
 
 

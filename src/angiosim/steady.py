@@ -1,57 +1,31 @@
-"""Steady states organizing the long-time dynamics.
+"""The positive steady attractant profile theta_mu.
 
-Three states matter: the trivial state (0, 0), the density-dominant
-state (lam, 0), and -- once the boundary flux strength mu exceeds the
-threshold mu1 -- the attractant-dominant state (0, theta_mu), where
-theta_mu is the positive solution of
+Once the boundary flux strength mu exceeds the threshold mu1, the
+attractant-dominant limit (0, theta_mu) exists, where theta_mu is the
+positive solution of
 
     -theta'' + theta = 0,  theta'(0) = 0,  theta'(L) = mu*theta/(1+theta).
 
 On an interval that problem has the closed form
 theta(x) = A cosh(x) / cosh(L) with A = mu/tanh(L) - 1, which serves
-both as the Newton starting point and as an independent oracle.
+both as the Newton starting point and as an independent oracle. The
+other limit, the density-dominant constant state (lam, 0), needs no
+solver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dynamics
-from .elliptic import flux_residual, solve_nonlinear_bvp
+from .elliptic import solve_nonlinear_bvp
 from .errors import BelowThresholdError, SolverError
 from .grid import Field, Grid1D, const_field, make_field
 from .spectral import compute_mu1
 
-__all__ = [
-    "SteadyState",
-    "theta_closed_form",
-    "theta_mu",
-    "semi_trivial_u",
-    "stationary_residual",
-]
-
-RESIDUAL_BOUND = 1e-8
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    """One equilibrium of the coupled system with its residual."""
-
-    u_part: Field
-    v_part: Field
-    kind: str  # "trivial" | "u-dominant" | "v-dominant"
-    residual: float
-
-    def __post_init__(self):
-        if self.u_part.values.min() < 0 or self.v_part.values.min() < 0:
-            raise ValueError("steady-state components must be nonnegative")
-        if self.residual > RESIDUAL_BOUND:
-            raise ValueError(
-                f"stationary residual {self.residual:.3e} exceeds {RESIDUAL_BOUND:g}"
-            )
+__all__ = ["theta_closed_form", "theta_mu"]
 
 
 def theta_closed_form(grid: Grid1D, mu: float) -> Field:
@@ -70,7 +44,15 @@ def theta_mu(grid: Grid1D, mu: float) -> Field:
     Raises BelowThresholdError when mu <= mu1(grid): there the only
     nonnegative steady solution is zero, and callers must be able to
     tell "no positive state exists" apart from a solver failure.
+    The profile is a pure function of (L, n, mu), so it is solved once
+    per (L, n, mu) and cached.
     """
+    return _theta(grid.L, grid.n, mu)
+
+
+@functools.cache
+def _theta(L: float, n: int, mu: float) -> Field:
+    grid = Grid1D(L, n)
     mu1 = compute_mu1(grid)
     if mu <= mu1:
         raise BelowThresholdError(
@@ -96,49 +78,3 @@ def theta_mu(grid: Grid1D, mu: float) -> Field:
         )
     return theta
 
-
-def stationary_residual(grid: Grid1D, p: dynamics.ModelParams,
-                        u: Field, v: Field) -> float:
-    """Inf-norm residual of the time-derivative-free coupled system,
-    using the same spatial discretization as the integrator."""
-    uv = u.values
-    vv = v.values
-    chem = dynamics.chemotaxis_divergence(grid, uv, vv, p)
-    r_u = flux_residual(
-        grid,
-        a=const_field(grid, 0.0),
-        g=lambda w: 0.0,
-        w=uv,
-        source=p.lam * uv - uv * uv - chem,
-    )
-    r_v = flux_residual(
-        grid,
-        a=make_field(grid, 1.0 + p.c * uv),
-        g=lambda w: p.mu * w / (1.0 + w),
-        w=vv,
-        source=np.zeros(grid.n),
-    )
-    return float(max(np.abs(r_u).max(), np.abs(r_v).max()))
-
-
-def semi_trivial_u(grid: Grid1D, lam: float,
-                   p: dynamics.ModelParams | None = None) -> SteadyState:
-    """The spatially constant state (lam, 0).
-
-    Its residual is parameter-free (every term vanishes identically),
-    so p is only needed when the caller wants the residual evaluated
-    with a specific sensitivity; a placeholder is used otherwise.
-    """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if p is None:
-        from .sensitivity import linear_saturating
-
-        p = dynamics.ModelParams(lam=lam, mu=0.0, c=1.0, V=linear_saturating())
-    elif p.lam != lam:
-        p = replace(p, lam=lam)
-    u = const_field(grid, lam)
-    v = const_field(grid, 0.0)
-    res = stationary_residual(grid, p, u, v)
-    kind = "trivial" if lam == 0 else "u-dominant"
-    return SteadyState(u_part=u, v_part=v, kind=kind, residual=res)

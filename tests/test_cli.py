@@ -131,6 +131,20 @@ def test_cli_steady_below_threshold_exits_1(tmp_path, capsys):
     assert manifest["status"] == "error"
 
 
+def test_cli_non_finite_step_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"lambda": 1e300},
+        "time": {"dt": 0.01, "t_end": 0.1},
+        "grid": {"n": 33},
+        "io": {"outdir": str(tmp_path / "o")},
+    })
+    with np.errstate(all="ignore"):
+        assert main(["simulate", "--config", cfg]) == 1
+    assert "solver error:" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"grid": {"n": 2}})
     assert main(["mu1", "--config", cfg]) == 2

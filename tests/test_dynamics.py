@@ -13,7 +13,7 @@ from angiosim.dynamics import (
     write_diagnostics_csv,
     write_trajectory_csv,
 )
-from angiosim.errors import PositivityError
+from angiosim.errors import PositivityError, SolverError
 from angiosim.grid import const_field, make_field, make_grid
 from angiosim.sensitivity import saturating_power
 from angiosim.steady import theta_mu
@@ -87,27 +87,42 @@ def test_zero_v_is_invariant(grid65):
 
 def test_cfl_dt_zero_state(grid65, zero_V):
     p = ModelParams(lam=0.0, mu=0.5, c=3.0, V=zero_V)
-    state = SimState(0.0, const_field(grid65, 0.0), const_field(grid65, 0.0))
-    assert cfl_dt(state, p, grid65, dt_safety=0.4) == pytest.approx(0.4 * 0.5, abs=1e-15)
-    assert cfl_dt(state, p, grid65, dt_safety=1.0) == pytest.approx(0.5, abs=1e-15)
+    zero = np.zeros(grid65.n)
+    assert cfl_dt(zero, zero, grid65.h, p, dt_safety=0.4) == pytest.approx(0.4 * 0.5, abs=1e-15)
+    assert cfl_dt(zero, zero, grid65.h, p, dt_safety=1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_cfl_dt_halves_when_gradient_doubles(grid65):
     p = ModelParams(lam=0.0, mu=0.0, c=1.0, V=saturating_power(2.0))
-    u = const_field(grid65, 0.5)
+    u = np.full(grid65.n, 0.5)
     # gradients steep enough that the advective candidate is the binding one
-    v1 = make_field(grid65, 2.0 * grid65.nodes)
-    v2 = make_field(grid65, 4.0 * grid65.nodes)
-    dt1 = cfl_dt(SimState(0.0, u, v1), p, grid65)
-    dt2 = cfl_dt(SimState(0.0, u, v2), p, grid65)
+    dt1 = cfl_dt(u, 2.0 * grid65.nodes, grid65.h, p)
+    dt2 = cfl_dt(u, 4.0 * grid65.nodes, grid65.h, p)
     assert dt1 / dt2 == pytest.approx(2.0, rel=1e-12)
 
 
 def test_cfl_dt_reaction_cap_scales(grid65, zero_V):
     p = ModelParams(lam=2.0, mu=0.0, c=1.0, V=zero_V)
-    state = SimState(0.0, const_field(grid65, 1.0), const_field(grid65, 0.0))
     # max(lam + 2, 1 + 1) = 4
-    assert cfl_dt(state, p, grid65, dt_safety=1.0) == pytest.approx(0.125, abs=1e-15)
+    assert cfl_dt(np.ones(grid65.n), np.zeros(grid65.n), grid65.h, p,
+                  dt_safety=1.0) == pytest.approx(0.125, abs=1e-15)
+
+
+def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
+    import angiosim.dynamics
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cfl_dt(*args, **kwargs)
+
+    monkeypatch.setattr(angiosim.dynamics, "cfl_dt", counted)
+    p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=saturating_power(2.0))
+    ctrl = StepControl(t_end=1.0, dt=None, output_every=7)
+    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p, ctrl)
+    assert traj.steps_taken > 1
+    assert len(calls) == traj.steps_taken
 
 
 def test_run_rejects_bad_initial_data(grid65):
@@ -134,6 +149,16 @@ def test_positivity_error_on_reckless_dt():
         run(make_field(g, u), v, p, ctrl)
     assert exc_info.value.trajectory is not None
     assert exc_info.value.min_value < -1e-9
+
+
+def test_non_finite_step_raises_solver_error():
+    # lam = 1e300 overflows the explicit logistic term on the second step;
+    # the step must fail as a SolverError, not as an input-check ValueError.
+    g = make_grid(1.0, 33)
+    p = ModelParams(lam=1e300, mu=0.5, c=1.0, V=saturating_power(2.0))
+    with np.errstate(all="ignore"), pytest.raises(SolverError) as exc_info:
+        run(const_field(g, 0.5), const_field(g, 0.5), p, StepControl(t_end=0.1, dt=0.01))
+    assert exc_info.value.trajectory is not None
 
 
 @pytest.mark.parametrize(

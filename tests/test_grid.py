@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from angiosim.errors import DomainConfigError
-from angiosim.grid import (
-    const_field,
-    field_from_callable,
-    field_to_csv,
-    integrate,
-    make_field,
-    make_grid,
-    norm,
-)
+from angiosim.grid import const_field, field_to_csv, make_field, make_grid, norm, trapezoid
 
 
 def test_make_grid_nodes():
@@ -52,24 +44,22 @@ def test_field_validation(grid65):
 
 def test_integrate_constant_and_affine():
     g = make_grid(1.0, 17)
-    assert integrate(const_field(g, 1.0)) == pytest.approx(1.0, abs=1e-15)
-    assert integrate(field_from_callable(g, lambda x: x)) == pytest.approx(0.5, abs=1e-15)
+    assert trapezoid(g.h, np.ones(g.n)) == pytest.approx(1.0, abs=1e-15)
+    assert trapezoid(g.h, g.nodes) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_integrate_quadratic(grid1025):
-    f = field_from_callable(grid1025, lambda x: x * x)
-    assert integrate(f) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert trapezoid(grid1025.h, grid1025.nodes**2) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_integrate_linearity():
     g = make_grid(2.0, 33)
     rng = np.random.default_rng(7)
-    f = make_field(g, rng.normal(size=g.n))
-    h = make_field(g, rng.normal(size=g.n))
+    f = rng.normal(size=g.n)
+    h = rng.normal(size=g.n)
     a, b = 2.5, -1.25
-    combo = make_field(g, a * f.values + b * h.values)
-    assert integrate(combo) == pytest.approx(
-        a * integrate(f) + b * integrate(h), rel=1e-13, abs=1e-13
+    assert trapezoid(g.h, a * f + b * h) == pytest.approx(
+        a * trapezoid(g.h, f) + b * trapezoid(g.h, h), rel=1e-13, abs=1e-13
     )
 
 
@@ -78,7 +68,7 @@ def test_integrate_refinement_order():
     errs = []
     for n in (33, 65, 129):
         g = make_grid(1.0, n)
-        errs.append(abs(integrate(field_from_callable(g, lambda x: x * x)) - exact))
+        errs.append(abs(trapezoid(g.h, g.nodes**2) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
@@ -94,7 +84,7 @@ def test_norm_zero_and_constant():
 
 
 def test_norm_sine(grid1025):
-    f = field_from_callable(grid1025, lambda x: np.sin(np.pi * x))
+    f = make_field(grid1025, np.sin(np.pi * grid1025.nodes))
     assert norm(f, "L2") == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
 
@@ -104,7 +94,7 @@ def test_norm_rejects_unknown_kind(grid65):
 
 
 def test_field_csv_round_trip(grid65):
-    f = field_from_callable(grid65, lambda x: np.cos(3 * x) + 0.1)
+    f = make_field(grid65, np.cos(3 * grid65.nodes) + 0.1)
     buf = io.StringIO()
     field_to_csv(f, buf)
     buf.seek(0)

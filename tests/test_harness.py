@@ -148,6 +148,33 @@ def test_sweep_rows_and_order():
         assert row["verdict"] in (VERDICT_TO_LAM0, VERDICT_TO_THETA, VERDICT_UNDECIDED)
 
 
+def test_sweep_solves_per_mu_work_once(monkeypatch):
+    from angiosim import spectral, steady
+
+    g = make_grid(1.0, 37)
+    spectral._alpha.cache_clear()
+    steady._theta.cache_clear()
+    spectral.compute_mu1(g)  # the threshold search is not per-mu work
+    eigen_solves, newton_solves = [], []
+
+    def count(calls, fn):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(spectral, "principal_eigen", count(eigen_solves, spectral.principal_eigen))
+    monkeypatch.setattr(steady, "solve_nonlinear_bvp",
+                        count(newton_solves, steady.solve_nonlinear_bvp))
+    base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    ctrl = StepControl(t_end=1.0, dt=0.05, output_every=2)
+    u0 = const_field(g, 0.5)
+    rows, _ = sweep(g, base, ctrl, u0, u0, [0.0, 0.5, 1.0], [0.3, 1.1])
+    assert len(rows) == 6
+    assert len(eigen_solves) == 2  # one alpha per distinct mu
+    assert len(newton_solves) == 1  # theta only above mu1
+
+
 def test_sweep_records_cell_failures():
     g = make_grid(1.0, 65)
     base = ModelParams(lam=0.0, mu=0.0, c=1.0, V=saturating_power(1.0))

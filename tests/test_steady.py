@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from angiosim.dynamics import ModelParams
 from angiosim.errors import BelowThresholdError
 from angiosim.grid import make_grid
-from angiosim.sensitivity import saturating_power
 from angiosim.spectral import compute_mu1
-from angiosim.steady import (
-    semi_trivial_u,
-    stationary_residual,
-    theta_closed_form,
-    theta_mu,
-)
+from angiosim.steady import theta_closed_form, theta_mu
 
 
 def closed_form(grid, mu):
@@ -67,40 +60,6 @@ def test_theta_profile_increasing_with_max_at_tumor_boundary(grid257):
     theta = theta_mu(grid257, 1.2).values
     assert np.all(np.diff(theta) > 0)
     assert theta.max() == theta[-1]
-
-
-def test_theta_stationary_residual_small(grid257):
-    theta = theta_mu(grid257, 1.2)
-    p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
-    from angiosim.grid import const_field
-
-    res = stationary_residual(grid257, p, const_field(grid257, 0.0), theta)
-    assert res <= 1e-8
-
-
-def test_semi_trivial_u_unit(grid65):
-    state = semi_trivial_u(grid65, 1.0)
-    assert np.all(state.u_part.values == 1.0)
-    assert np.all(state.v_part.values == 0.0)
-    assert state.kind == "u-dominant"
-    assert state.residual <= 1e-12
-
-
-def test_semi_trivial_u_trivial_and_large(grid65):
-    assert semi_trivial_u(grid65, 0.0).kind == "trivial"
-    assert semi_trivial_u(grid65, 2.5).residual <= 1e-12
-
-
-def test_semi_trivial_u_with_explicit_params(grid65):
-    p = ModelParams(lam=3.0, mu=0.7, c=2.0, V=saturating_power(2.0))
-    state = semi_trivial_u(grid65, 1.5, p)
-    assert np.all(state.u_part.values == 1.5)
-    assert state.residual <= 1e-12
-
-
-def test_semi_trivial_u_rejects_negative(grid65):
-    with pytest.raises(ValueError):
-        semi_trivial_u(grid65, -0.5)
 
 
 def test_closed_form_helper_negative_below_threshold(grid65):
