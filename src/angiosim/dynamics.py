@@ -14,8 +14,11 @@ and v. The chemotactic divergence, the logistic term, -v - c*u*v and the
 tumor flux of v are explicit; the flux enters v's tumor-end row as the
 source (2*dt/h)*mu*v/(1+v) in [0, 2*dt*mu/h]. So the matrix depends only
 on (n, h, dt) and is an M-matrix for every dt, and theta_mu is a fixed
-point of the step. Only the explicit chemotaxis and reactions can drive
-a density negative, which raises PositivityError.
+point of the step. Its W-symmetrized form is positive definite, and run
+keeps one LDL^T factor per distinct dt: one for a fixed dt (plus one for
+a last step clipped at t_end), a new one each step under auto dt. Only
+the explicit chemotaxis and reactions can drive a density negative,
+which raises PositivityError; an overflow raises SolverError.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -31,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .elliptic import banded_rows
+from .elliptic import banded_rows, factor
 from .errors import PositivityError, SolverError
 from .grid import Field, Grid1D, l2_norm, make_field, trapezoid
 from .sensitivity import SensitivitySpec
@@ -161,24 +163,29 @@ def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
     return dt_safety * float(min(advective, reaction))
 
 
+def _diffusion_solve(grid: Grid1D, dt: float):
+    """Factored solve of the step matrix I + dt*(-d2/dx2)."""
+    h = grid.h
+    return factor(banded_rows(grid.n, h, dt / (h * h), 1.0))
+
+
 def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
-             t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One IMEX Euler step from (u, v) at time t; returns the new arrays."""
+             t: float, dt: float, solve) -> tuple[np.ndarray, np.ndarray]:
+    """One IMEX Euler step from (u, v) at time t, with solve from
+    _diffusion_solve(grid, dt); returns the new arrays."""
     h = grid.h
     div = chemotaxis_divergence(grid, u, v, p)
     v_rhs = v + dt * (-v - p.c * u * v)
     # Explicit tumor-flux source: keeps the shared matrix state-free.
     v_rhs[-1] += 2.0 * dt / h * boundary_flux_v(p, v[-1])
     rhs = np.column_stack((u + dt * (-div + p.lam * u - u * u), v_rhs))
-    ab = banded_rows(grid.n, h, dt / (h * h), 1.0)
-    # No input scan: a non-finite right-hand side shows in the result check.
-    try:
-        uv = scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SolverError(f"implicit diffusion solve failed at t={t:g}: {exc}")
+    uv = solve(rhs)
     t_new = t + dt
+    if not np.all(np.isfinite(uv)):
+        raise SolverError(
+            f"density became non-finite at t={t_new:g}: an explicit term overflowed")
     low = float(uv.min())
-    if low < POSITIVITY_HARD_LIMIT or not np.all(np.isfinite(uv)):
+    if low < POSITIVITY_HARD_LIMIT:
         raise PositivityError(
             f"density dropped to {low:.3e} at t={t_new:g}; dt={dt:g} is too large",
             t=t_new,
@@ -187,12 +194,13 @@ def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
     return uv[:, 0], uv[:, 1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
     """One IMEX Euler step; dt from ctrl or, if unset, from cfl_dt."""
     grid = state.u.grid
     u, v = state.u.values, state.v.values
     dt = ctrl.dt if ctrl.dt is not None else cfl_dt(u, v, grid.h, p, ctrl.dt_safety)
-    u, v = _advance(grid, p, u, v, state.t, dt)
+    u, v = _advance(grid, p, u, v, state.t, dt, _diffusion_solve(grid, dt))
     return SimState(state.t + dt, make_field(grid, u), make_field(grid, v))
 
 
@@ -248,6 +256,7 @@ class Trajectory:
         self.states.append(state)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     """Integrate from (u0, v0) to t_end, recording every output_every
     steps (plus the initial and final states).
@@ -255,7 +264,8 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     The loop steps on plain arrays; Fields are built only for the
     recorded snapshots. Initial data must be nonnegative. On a solver
     failure the partial trajectory is attached to the raised exception
-    as exc.trajectory.
+    as exc.trajectory; an overflow is reported by that exception alone,
+    not also by numpy warnings.
     """
     grid = u0.grid
     if v0.grid is not grid and (v0.grid.L != grid.L or v0.grid.n != grid.n):
@@ -269,19 +279,20 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     traj._record(SimState(0.0, u0, v0))
     t_stop = ctrl.t_end - 1e-12
     t = 0.0
-    k = 0
+    solve_dt = solve = None
     try:
         while t < t_stop:
             dt = ctrl.dt if ctrl.dt is not None else cfl_dt(u, v, grid.h, p, ctrl.dt_safety)
             dt = min(dt, ctrl.t_end - t)
-            u, v = _advance(grid, p, u, v, t, dt)
+            if dt != solve_dt:
+                solve_dt, solve = dt, _diffusion_solve(grid, dt)
+            u, v = _advance(grid, p, u, v, t, dt, solve)
             t = t + dt
-            k += 1
-            traj.steps_taken = k
+            traj.steps_taken += 1
             traj.max_dt_used = max(traj.max_dt_used, dt)
             traj.min_u_overall = min(traj.min_u_overall, float(u.min()))
             traj.min_v_overall = min(traj.min_v_overall, float(v.min()))
-            if k % ctrl.output_every == 0 or t >= t_stop:
+            if traj.steps_taken % ctrl.output_every == 0 or t >= t_stop:
                 traj._record(SimState(t, make_field(grid, u), make_field(grid, v)))
     except SolverError as exc:
         exc.trajectory = traj
@@ -292,11 +303,13 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
     """Long-format snapshot table: one row per (snapshot, node)."""
     fh.write("t,x,u,v\n")
-    xs = traj.grid.nodes
+    # the Python floats of tolist() repr exactly as float(value) does
+    xs = list(map(repr, traj.grid.nodes.tolist()))
     for state in traj.states:
-        t = float(state.t)
-        for x, uu, vv in zip(xs, state.u.values, state.v.values):
-            fh.write(f"{t!r},{float(x)!r},{float(uu)!r},{float(vv)!r}\n")
+        t = repr(float(state.t))
+        for x, uu, vv in zip(xs, map(repr, state.u.values.tolist()),
+                             map(repr, state.v.values.tolist())):
+            fh.write(f"{t},{x},{uu},{vv}\n")
 
 
 def write_diagnostics_csv(traj: Trajectory, fh, theta: Field | None = None) -> None:

@@ -11,6 +11,13 @@ nonlinear flux condition dw/dn = g(w) solved by damped Newton.
 Sign convention for Robin data: the stored coefficient b means
 dw/dn = -b*w on the tumor boundary, so an outward flux dw/dn = mu*w
 is represented by b = -mu.
+
+W*A, W = diag(1/2, 1, ..., 1, 1/2) the trapezoid weights, is symmetric
+tridiagonal and stored as its (diagonal, off-diagonal) pair (d, e).
+A w = b is solved as (W*A) w = W*b by the no-pivot LDL^T of LAPACK
+dpttrf/dpttrs (Golub & Van Loan, Matrix Computations, sec. 4.3), which
+exists exactly when W*A is positive definite; one factor serves many
+solves.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     NonConvergenceError,
@@ -30,6 +37,7 @@ from .grid import Field, Grid1D, make_field
 __all__ = [
     "banded_rows",
     "assemble",
+    "factor",
     "solve_linear",
     "solve_nonlinear_bvp",
     "flux_residual",
@@ -41,27 +49,24 @@ NEWTON_MAX_HALVINGS = 8
 
 
 def banded_rows(n: int, h: float, r: float, diag: float | np.ndarray,
-                robin: float = 0.0) -> np.ndarray:
-    """(3, n) scipy.linalg.solve_banded rows of diag + r*h^2*(-d2/dx2).
+                robin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) pair of W*(diag + r*h^2*(-d2/dx2)).
 
     Mirror rows close both ends; the Robin coefficient adds 2*robin/h to
-    the tumor-end diagonal. This is the one place the operator's rows
-    are written: the elliptic solves use r = 1/h^2, the implicit
-    diffusion of a time step r = dt/h^2 with diag = 1 and robin = 0.
+    the tumor-end row. This is the one place the operator's rows are
+    written: the elliptic solves use r = 1/h^2, the implicit diffusion
+    of a time step r = dt/h^2 with diag = 1 and robin = 0.
     """
-    ab = np.empty((3, n))
-    ab[0, :] = -r
-    ab[1, :] = 2.0 * r + diag
-    ab[2, :] = -r
-    ab[0, 1] = -2.0 * r  # super-diagonal entry of row 0 (mirror)
-    ab[2, n - 2] = -2.0 * r  # sub-diagonal entry of row n-1 (mirror)
-    ab[1, n - 1] += 2.0 * robin / h
-    return ab
+    d = np.full(n, 2.0 * r) + diag
+    d[-1] += 2.0 * robin / h
+    d[[0, -1]] *= 0.5  # half-width boundary cells
+    return d, np.full(n - 1, -r)
 
 
-def assemble(grid: Grid1D, a: Field, robin_b: float = 0.0) -> np.ndarray:
-    """Banded rows of -d2/dx2 + a(x) with the tumor-end row dw/dn = -robin_b*w
-    (robin_b = 0 is zero Neumann).
+def assemble(grid: Grid1D, a: Field,
+             robin_b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) pair of W*(-d2/dx2 + a(x)) with the tumor-end row
+    dw/dn = -robin_b*w (robin_b = 0 is zero Neumann).
 
     A nonlinear flux condition has no fixed matrix: solve_nonlinear_bvp
     assembles its Newton Jacobian here with robin_b = -g'(w) at the
@@ -73,19 +78,29 @@ def assemble(grid: Grid1D, a: Field, robin_b: float = 0.0) -> np.ndarray:
     return banded_rows(grid.n, h, 1.0 / (h * h), a.values, robin_b)
 
 
-def solve_linear(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Direct banded solve of the assembled rows ab against rhs.
+def factor(op: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """LDL^T factor (dpttrf) of a (d, e) pair, returned as the solve
+    rhs -> A^-1 rhs (dpttrs against W*rhs, one or more columns). Raises
+    SpectralShiftError when the matrix is not positive definite."""
+    d, e, info = dpttrf(*op)
+    if info > 0:
+        raise SpectralShiftError(f"matrix is not positive definite (minor {info})")
 
-    A singular or numerically broken-down factorization raises
-    SpectralShiftError so eigenvalue callers can re-shift and retry.
-    """
-    try:
-        w = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SpectralShiftError(f"banded solve failed: {exc}") from exc
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        b = np.array(rhs, dtype=float, order="F")
+        b[[0, -1]] *= 0.5
+        return dpttrs(d, e, b, overwrite_b=True)[0]
+
+    return solve
+
+
+def solve_linear(op: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Factor the (d, e) pair op and solve against rhs. A matrix that is
+    not positive definite, or a non-finite result, raises
+    SpectralShiftError so eigenvalue callers can re-shift and retry."""
+    w = factor(op)(rhs)
     if not np.all(np.isfinite(w)):
-        raise SpectralShiftError("banded solve produced non-finite values "
-                                 "(singular or near-singular pivot)")
+        raise SpectralShiftError("LDL^T solve produced non-finite values")
     return w
 
 

@@ -18,7 +18,7 @@ class SolverError(RuntimeError):
 
 
 class SpectralShiftError(SolverError):
-    """Linear solve hit a singular or near-singular pivot.
+    """Matrix is not positive definite, or a solve produced non-finite values.
 
     Signals the caller (inverse iteration) to move its spectral shift
     and retry.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import assemble, flux_residual, solve_linear
+from .elliptic import assemble, factor, flux_residual
 from .errors import (
     EigenPositivityError,
     NonConvergenceError,
@@ -48,13 +48,14 @@ class EigenResult:
 def _inverse_iteration(grid: Grid1D, a: Field, robin_mu: float,
                        shift: float) -> EigenResult:
     weights = grid.quadrature_weights()
-    shifted = assemble(grid, a, -robin_mu)
-    shifted[1] -= shift
+    # One factor per shift serves every iteration. factor refuses a shift
+    # not below the principal eigenvalue: W*(A - shift) is not positive definite.
+    solve = factor(assemble(grid, make_field(grid, a.values - shift), -robin_mu))
     zero_src = np.zeros(grid.n)
     y = np.full(grid.n, 1.0)
     lam_old = None
     for iteration in range(1, MAX_ITER + 1):
-        y = solve_linear(shifted, y)
+        y = solve(y)
         y = y / np.abs(y).max()
         if y[np.argmax(np.abs(y))] < 0:
             y = -y
@@ -90,9 +91,10 @@ def principal_eigen(grid: Grid1D, a: Field, robin_mu: float) -> EigenResult:
     dw/dn = robin_mu * w on the tumor end.
 
     The initial inverse-iteration shift min(0, min a) - 1 sits below the
-    principal eigenvalue for the flux strengths this model uses; if a
-    solve breaks down on a pivot the shift is lowered by 1 and the
-    iteration restarted, up to MAX_SHIFT_RETRIES times.
+    principal eigenvalue for the flux strengths this model uses; if the
+    shifted matrix is not positive definite (the shift is not below the
+    principal eigenvalue) the shift is lowered by 1 and the iteration
+    restarted, up to MAX_SHIFT_RETRIES times.
     """
     shift0 = min(0.0, float(a.values.min())) - 1.0
     last_exc: SpectralShiftError | None = None

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,9 +139,13 @@ def test_cli_non_finite_step_exits_1(tmp_path, capsys):
         "grid": {"n": 33},
         "io": {"outdir": str(tmp_path / "o")},
     })
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["simulate", "--config", cfg]) == 1
-    assert "solver error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver error:" in err and "non-finite" in err
+    assert "too large" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["status"] == "error"
 

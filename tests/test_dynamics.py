@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import angiosim.dynamics
 from angiosim.dynamics import (
     ModelParams,
     SimState,
     StepControl,
+    Trajectory,
     cfl_dt,
     run,
     step,
@@ -109,8 +111,6 @@ def test_cfl_dt_reaction_cap_scales(grid65, zero_V):
 
 
 def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
-    import angiosim.dynamics
-
     calls = []
 
     def counted(*args, **kwargs):
@@ -123,6 +123,25 @@ def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
     traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p, ctrl)
     assert traj.steps_taken > 1
     assert len(calls) == traj.steps_taken
+
+
+@pytest.mark.parametrize("t_end, factors", [(1.0, 1), (1.05, 2)])
+def test_fixed_dt_run_factors_once_per_dt(grid65, monkeypatch, t_end, factors):
+    # dt = 1/8 keeps every t exact: t_end = 1 takes 8 full steps, while
+    # t_end = 1.05 clips the last step to 0.05 and needs its own factor
+    calls = []
+    original = angiosim.dynamics.factor
+
+    def counted(op):
+        calls.append(1)
+        return original(op)
+
+    monkeypatch.setattr(angiosim.dynamics, "factor", counted)
+    p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
+               StepControl(t_end=t_end, dt=0.125))
+    assert traj.steps_taken == 8 + (factors - 1)
+    assert len(calls) == factors
 
 
 def test_run_rejects_bad_initial_data(grid65):
@@ -297,3 +316,24 @@ def test_trajectory_csv_writers(grid65, tmp_path):
     dlines = dpath.read_text().splitlines()
     assert dlines[0] == "t,mass_u,mass_v,linf_u,linf_v,l2_v_minus_theta,boundary_flux_v"
     assert len(dlines) == 1 + len(traj.states)
+
+
+def test_trajectory_csv_bytes_match_reference(tmp_path):
+    # reference: the per-value float()/repr formulation of the writer
+    g = make_grid(0.3, 4)
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    traj = Trajectory(grid=g, params=p, ctrl=StepControl(t_end=1.0))
+    for t, u, v in [
+        (0.0, [0.1, 1e-300, 5e-324, 3.0], [2.0, 0.1 + 0.2, 1e300, 0.0]),
+        (np.float64(0.1) * 3, [1.0, 1e16, 2.5e-308, 7.0], [0.1, 5e-324, 1e-300, 12.0]),
+    ]:
+        traj.states.append(SimState(t, make_field(g, u), make_field(g, v)))
+    expected = "t,x,u,v\n" + "".join(
+        f"{float(s.t)!r},{float(x)!r},{float(uu)!r},{float(vv)!r}\n"
+        for s in traj.states
+        for x, uu, vv in zip(g.nodes, s.u.values, s.v.values)
+    )
+    path = tmp_path / "trajectory.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_trajectory_csv(traj, fh)
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -9,15 +9,26 @@ from angiosim.elliptic import (
     solve_linear,
     solve_nonlinear_bvp,
 )
-from angiosim.errors import NonConvergenceError, SingularJacobianError
+from angiosim.errors import (
+    NonConvergenceError,
+    SingularJacobianError,
+    SpectralShiftError,
+)
 from angiosim.grid import const_field, make_field, make_grid
 
 
-def apply_rows(ab, w):
-    """Dense product of the (3, n) banded rows with w: an independent
-    reading of the solve_banded layout."""
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    return dense @ w
+def dense(op):
+    """Dense symmetric matrix W*A of a (d, e) pair."""
+    d, e = op
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def apply_rows(op, w):
+    """A @ w from the W-symmetrized (d, e) pair, W = diag(1/2, 1, ..., 1, 1/2):
+    an independent reading of the storage layout."""
+    out = dense(op) @ w
+    out[[0, -1]] *= 2.0
+    return out
 
 
 def linear_residual(grid, a, robin_b, w):
@@ -117,6 +128,14 @@ def test_solve_linear_residual_contract():
     w = solve_linear(assemble(g, a), rhs.values)
     res = np.abs(linear_residual(g, a, 0.0, w) - rhs.values).max()
     assert res <= 1e-10 * (1.0 + np.abs(rhs.values).max())
+
+
+def test_solve_linear_rejects_indefinite_operator(grid65):
+    # a Robin flux mu = 1.5 above the threshold tanh(1) gives -d2/dx2 + 1
+    # a negative principal eigenvalue: W @ A is indefinite
+    op = assemble(grid65, const_field(grid65, 1.0), -1.5)
+    with pytest.raises(SpectralShiftError, match="not positive definite"):
+        solve_linear(op, np.ones(grid65.n))
 
 
 def test_discrete_maximum_principle():
@@ -237,17 +256,20 @@ def test_newton_singular_jacobian(grid65):
 
 def test_operator_symmetric_in_quadrature_weights(grid65):
     # the boundary rows scale by the half-width cells: W @ A is symmetric
-    ab = assemble(grid65, const_field(grid65, 1.0), -0.7)
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    wa = grid65.quadrature_weights()[:, None] * dense
+    # (A from flux_residual column by column; the stored pair must be W @ A)
+    a = const_field(grid65, 1.0)
+    cols = [linear_residual(grid65, a, -0.7, col) for col in np.eye(grid65.n)]
+    wa = grid65.quadrature_weights()[:, None] * np.array(cols).T
     assert np.abs(wa - wa.T).max() < 1e-9
+    stored = dense(assemble(grid65, a, -0.7))
+    assert np.abs(grid65.h * stored - wa).max() < 1e-9
 
 
 def test_operator_diagonally_dominant_for_nonneg_potential(grid65):
     rng = np.random.default_rng(11)
     a = make_field(grid65, rng.uniform(0.1, 1.0, grid65.n))
-    ab = assemble(grid65, a, 0.4)
-    row_gap = np.abs(ab[1])
-    row_gap[1:] -= np.abs(ab[2, :-1])  # row i couples to node i-1
-    row_gap[:-1] -= np.abs(ab[0, 1:])  # row i couples to node i+1
+    d, e = assemble(grid65, a, 0.4)
+    row_gap = np.abs(d)
+    row_gap[1:] -= np.abs(e)  # row i couples to node i-1
+    row_gap[:-1] -= np.abs(e)  # row i couples to node i+1
     assert row_gap.min() > 0

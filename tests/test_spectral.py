@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import angiosim.spectral as spectral
-from angiosim.errors import ThresholdSearchError
+from angiosim.errors import SpectralShiftError, ThresholdSearchError
 from angiosim.grid import const_field, make_grid
 from angiosim.spectral import alpha_of_mu, compute_mu1, principal_eigen
 
@@ -54,6 +54,29 @@ def test_eigen_result_invariants(grid257):
         assert res.eigenfunction.values.min() > 0.0
         assert np.abs(res.eigenfunction.values).max() == pytest.approx(1.0, abs=1e-14)
         assert res.residual <= 1e-8
+
+
+@pytest.mark.parametrize("mu, shifts", [(0.5, 1), (2.0, 4)])
+def test_principal_eigen_factors_once_per_shift(grid65, monkeypatch, mu, shifts):
+    # alpha(2) ~ -3.27: the shifts -1, -2 and -3 leave the matrix
+    # indefinite, -4 lies below the eigenvalue
+    calls, refused = [], []
+    original = spectral.factor
+
+    def counted(op):
+        calls.append(1)
+        try:
+            return original(op)
+        except SpectralShiftError:
+            refused.append(1)
+            raise
+
+    monkeypatch.setattr(spectral, "factor", counted)
+    res = principal_eigen(grid65, const_field(grid65, 1.0), mu)
+    assert res.eigenvalue == pytest.approx(exact_alpha(mu), abs=1e-2)
+    assert res.iterations > 1
+    assert len(calls) == shifts
+    assert len(refused) == shifts - 1
 
 
 def test_eigen_deterministic(grid257):
