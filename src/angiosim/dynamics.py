@@ -14,11 +14,9 @@ and v. The chemotactic divergence, the logistic term, -v - c*u*v and the
 tumor flux of v are explicit; the flux enters v's tumor-end row as the
 source (2*dt/h)*mu*v/(1+v) in [0, 2*dt*mu/h]. So the matrix depends only
 on (n, h, dt) and is an M-matrix for every dt, and theta_mu is a fixed
-point of the step. Its W-symmetrized form is positive definite, and run
-keeps one LDL^T factor per distinct dt: one for a fixed dt (plus one for
-a last step clipped at t_end), a new one each step under auto dt. Only
-the explicit chemotaxis and reactions can drive a density negative,
-which raises PositivityError; an overflow raises SolverError.
+point of the step. run keeps one LDL^T factor of it per distinct dt (a
+new one each step under auto dt). Only the explicit chemotaxis and
+reactions can drive a density negative, which raises PositivityError.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -163,16 +161,10 @@ def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
     return dt_safety * float(min(advective, reaction))
 
 
-def _diffusion_solve(grid: Grid1D, dt: float):
-    """Factored solve of the step matrix I + dt*(-d2/dx2)."""
-    h = grid.h
-    return factor(banded_rows(grid.n, h, dt / (h * h), 1.0))
-
-
 def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
              t: float, dt: float, solve) -> tuple[np.ndarray, np.ndarray]:
-    """One IMEX Euler step from (u, v) at time t, with solve from
-    _diffusion_solve(grid, dt); returns the new arrays."""
+    """One IMEX Euler step from (u, v) at time t, with solve the factor
+    of I + dt*(-d2/dx2); returns the new arrays."""
     h = grid.h
     div = chemotaxis_divergence(grid, u, v, p)
     v_rhs = v + dt * (-v - p.c * u * v)
@@ -200,7 +192,8 @@ def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
     grid = state.u.grid
     u, v = state.u.values, state.v.values
     dt = ctrl.dt if ctrl.dt is not None else cfl_dt(u, v, grid.h, p, ctrl.dt_safety)
-    u, v = _advance(grid, p, u, v, state.t, dt, _diffusion_solve(grid, dt))
+    solve = factor(banded_rows(grid.n, grid.h, dt / (grid.h * grid.h), 1.0))
+    u, v = _advance(grid, p, u, v, state.t, dt, solve)
     return SimState(state.t + dt, make_field(grid, u), make_field(grid, v))
 
 
@@ -264,8 +257,7 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     The loop steps on plain arrays; Fields are built only for the
     recorded snapshots. Initial data must be nonnegative. On a solver
     failure the partial trajectory is attached to the raised exception
-    as exc.trajectory; an overflow is reported by that exception alone,
-    not also by numpy warnings.
+    as exc.trajectory.
     """
     grid = u0.grid
     if v0.grid is not grid and (v0.grid.L != grid.L or v0.grid.n != grid.n):
@@ -278,21 +270,22 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     traj.min_v_overall = float(v.min())
     traj._record(SimState(0.0, u0, v0))
     t_stop = ctrl.t_end - 1e-12
-    t = 0.0
+    t, k, h = 0.0, 0, grid.h
     solve_dt = solve = None
     try:
         while t < t_stop:
-            dt = ctrl.dt if ctrl.dt is not None else cfl_dt(u, v, grid.h, p, ctrl.dt_safety)
+            dt = ctrl.dt if ctrl.dt is not None else cfl_dt(u, v, h, p, ctrl.dt_safety)
             dt = min(dt, ctrl.t_end - t)
             if dt != solve_dt:
-                solve_dt, solve = dt, _diffusion_solve(grid, dt)
+                solve_dt, solve = dt, factor(banded_rows(grid.n, h, dt / (h * h), 1.0))
             u, v = _advance(grid, p, u, v, t, dt, solve)
             t = t + dt
-            traj.steps_taken += 1
+            k += 1
+            traj.steps_taken = k
             traj.max_dt_used = max(traj.max_dt_used, dt)
             traj.min_u_overall = min(traj.min_u_overall, float(u.min()))
             traj.min_v_overall = min(traj.min_v_overall, float(v.min()))
-            if traj.steps_taken % ctrl.output_every == 0 or t >= t_stop:
+            if k % ctrl.output_every == 0 or t >= t_stop:
                 traj._record(SimState(t, make_field(grid, u), make_field(grid, v)))
     except SolverError as exc:
         exc.trajectory = traj

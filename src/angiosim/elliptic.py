@@ -12,12 +12,10 @@ Sign convention for Robin data: the stored coefficient b means
 dw/dn = -b*w on the tumor boundary, so an outward flux dw/dn = mu*w
 is represented by b = -mu.
 
-W*A, W = diag(1/2, 1, ..., 1, 1/2) the trapezoid weights, is symmetric
-tridiagonal and stored as its (diagonal, off-diagonal) pair (d, e).
-A w = b is solved as (W*A) w = W*b by the no-pivot LDL^T of LAPACK
-dpttrf/dpttrs (Golub & Van Loan, Matrix Computations, sec. 4.3), which
-exists exactly when W*A is positive definite; one factor serves many
-solves.
+Every matrix is stored as W*A, W = diag(1/2, 1, ..., 1, 1/2) the
+trapezoid weights: a symmetric tridiagonal (d, e) pair, solved by the
+no-pivot LDL^T of LAPACK dpttrf/dpttrs, which exists exactly when W*A is
+positive definite. One factor serves many solves.
 """
 
 from __future__ import annotations
@@ -79,25 +77,21 @@ def assemble(grid: Grid1D, a: Field,
 
 
 def factor(op: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """LDL^T factor (dpttrf) of a (d, e) pair, returned as the solve
-    rhs -> A^-1 rhs (dpttrs against W*rhs, one or more columns). Raises
-    SpectralShiftError when the matrix is not positive definite."""
+    """LDL^T factor of the (d, e) pair op as the solve rhs -> A^-1 rhs
+    (one or more columns); SpectralShiftError if op is not positive definite."""
     d, e, info = dpttrf(*op)
     if info > 0:
         raise SpectralShiftError(f"matrix is not positive definite (minor {info})")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         b = np.array(rhs, dtype=float, order="F")
-        b[[0, -1]] *= 0.5
+        b[[0, -1]] *= 0.5  # W*rhs
         return dpttrs(d, e, b, overwrite_b=True)[0]
-
     return solve
 
 
 def solve_linear(op: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Factor the (d, e) pair op and solve against rhs. A matrix that is
-    not positive definite, or a non-finite result, raises
-    SpectralShiftError so eigenvalue callers can re-shift and retry."""
+    """factor(op)(rhs); a non-finite result also raises SpectralShiftError."""
     w = factor(op)(rhs)
     if not np.all(np.isfinite(w)):
         raise SpectralShiftError("LDL^T solve produced non-finite values")

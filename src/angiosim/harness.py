@@ -11,7 +11,7 @@ late-time lower bounds of both densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -58,14 +58,7 @@ class DecayFit:
         return self.r_squared >= TRUSTED_R2
 
     def to_json_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "window": list(self.window),
-            "r_squared": self.r_squared,
-            "quantity": self.quantity,
-            "n_samples": self.n_samples,
-            "trusted": self.trusted,
-        }
+        return {**asdict(self), "window": list(self.window), "trusted": self.trusted}
 
 
 def fit_decay(times, values, window: tuple[float, float],
@@ -120,15 +113,7 @@ class MassAudit:
     scale: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "boundary_term": self.boundary_term,
-            "absorption_term": self.absorption_term,
-            "mass_change": self.mass_change,
-            "tau": self.tau,
-            "t_end": self.t_end,
-            "scale": self.scale,
-        }
+        return asdict(self)
 
 
 def mass_audit(traj: Trajectory, tau: float = 1.0) -> MassAudit:

@@ -30,7 +30,7 @@ __all__ = ["EigenResult", "principal_eigen", "alpha_of_mu", "compute_mu1"]
 RQ_TOL = 1e-11
 RESIDUAL_TOL = 1e-8
 MAX_ITER = 10000
-MAX_SHIFT_RETRIES = 5
+MAX_SHIFT_RETRIES = 40
 MU1_TOL = 1e-8
 MU_BRACKET_CAP = 64.0
 
@@ -90,23 +90,21 @@ def principal_eigen(grid: Grid1D, a: Field, robin_mu: float) -> EigenResult:
     """Principal eigenvalue/eigenfunction of -d2/dx2 + a with
     dw/dn = robin_mu * w on the tumor end.
 
-    The initial inverse-iteration shift min(0, min a) - 1 sits below the
-    principal eigenvalue for the flux strengths this model uses; if the
-    shifted matrix is not positive definite (the shift is not below the
-    principal eigenvalue) the shift is lowered by 1 and the iteration
-    restarted, up to MAX_SHIFT_RETRIES times.
+    The first shift is s0 = min(0, min a) - 1. A shifted matrix that is
+    not positive definite means the shift is not below the principal
+    eigenvalue, so the shift moves to s0 - (2**k - 1), k = 1, 2, ... up
+    to MAX_SHIFT_RETRIES: the accepted shift is at most about twice as
+    far below s0 as the eigenvalue, and that is >= min a - 2*max(robin_mu, 0)/h.
     """
     shift0 = min(0.0, float(a.values.min())) - 1.0
-    last_exc: SpectralShiftError | None = None
     for retry in range(MAX_SHIFT_RETRIES + 1):
+        shift = shift0 - (2.0 ** retry - 1.0)
         try:
-            return _inverse_iteration(grid, a, robin_mu, shift0 - retry)
+            return _inverse_iteration(grid, a, robin_mu, shift)
         except SpectralShiftError as exc:
             last_exc = exc
     raise NonConvergenceError(
-        f"inverse iteration failed for all shifts down to {shift0 - MAX_SHIFT_RETRIES}: "
-        f"{last_exc}"
-    )
+        f"inverse iteration failed for all shifts down to {shift:g}: {last_exc}")
 
 
 def alpha_of_mu(grid: Grid1D, mu: float) -> float:

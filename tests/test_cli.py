@@ -106,6 +106,24 @@ def test_cli_eigen_table(tmp_path):
     assert float(rows[1][1]) == pytest.approx(0.4045, abs=1e-3)
 
 
+def test_cli_eigen_and_mu1_far_below_first_shift(tmp_path, capsys):
+    # alpha(3) ~ -8.1 on L=1 and alpha(1) ~ -9.3 on L=0.1 (the upper end
+    # of mu1's first bracket) lie below the inverse iteration's first shifts
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 129},
+        "io": {"outdir": str(tmp_path / "o")},
+        "experiment": {"mu_values": [3.0]},
+    })
+    assert main(["eigen", "--config", cfg]) == 0
+    lines = (tmp_path / "o" / "alpha_table.csv").read_text().splitlines()
+    assert float(lines[1].split(",")[1]) == pytest.approx(-8.09, abs=1e-2)
+    cfg = write_config(tmp_path, {"grid": {"L": 0.1, "n": 65},
+                                  "io": {"outdir": str(tmp_path / "m")}})
+    assert main(["mu1", "--config", cfg]) == 0
+    printed = float(capsys.readouterr().out.strip())
+    assert printed == pytest.approx(math.tanh(0.1), rel=1e-4)
+
+
 def test_cli_steady_profile(tmp_path):
     cfg = write_config(tmp_path, {
         "grid": {"n": 257},

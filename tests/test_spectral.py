@@ -56,10 +56,10 @@ def test_eigen_result_invariants(grid257):
         assert res.residual <= 1e-8
 
 
-@pytest.mark.parametrize("mu, shifts", [(0.5, 1), (2.0, 4)])
+@pytest.mark.parametrize("mu, shifts", [(0.5, 1), (2.0, 3), (2.8, 4)])
 def test_principal_eigen_factors_once_per_shift(grid65, monkeypatch, mu, shifts):
-    # alpha(2) ~ -3.27: the shifts -1, -2 and -3 leave the matrix
-    # indefinite, -4 lies below the eigenvalue
+    # the shifts tried are -1, -2, -4, -8: alpha(2) ~ -3.27 is first
+    # undercut by -4, alpha(2.8) ~ -6.95 by -8
     calls, refused = [], []
     original = spectral.factor
 
@@ -77,6 +77,15 @@ def test_principal_eigen_factors_once_per_shift(grid65, monkeypatch, mu, shifts)
     assert res.iterations > 1
     assert len(calls) == shifts
     assert len(refused) == shifts - 1
+
+
+@pytest.mark.parametrize("mu", [2.8, 5.0, 10.0])
+def test_principal_eigen_far_below_first_shift(grid1025, mu):
+    # alpha(2.8) ~ -6.95 and alpha(10) ~ -99 lie far below the first
+    # shift -1; the shift must still get below them
+    res = principal_eigen(grid1025, const_field(grid1025, 1.0), mu)
+    assert res.eigenvalue == pytest.approx(exact_alpha(mu), rel=1e-4)
+    assert res.eigenfunction.values.min() > 0.0
 
 
 def test_eigen_deterministic(grid257):
@@ -123,6 +132,12 @@ def test_compute_mu1_unit_interval(grid257):
 def test_compute_mu1_longer_interval():
     g = make_grid(2.0, 513)
     assert compute_mu1(g) == pytest.approx(math.tanh(2.0), abs=1e-4)
+
+
+@pytest.mark.parametrize("L", [0.1, 0.01])
+def test_compute_mu1_short_interval(L):
+    # the bracket end alpha(1) is about -9.3 (L=0.1) and -99 (L=0.01)
+    assert compute_mu1(make_grid(L, 65)) == pytest.approx(math.tanh(L), rel=1e-4)
 
 
 def test_compute_mu1_refinement():
