@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import RunConfig, _need_number, load_config, parse_config
+from .config import RunConfig, load_config, parse_config
 from .dynamics import run, write_diagnostics_csv, write_trajectory_csv
 from .errors import BelowThresholdError, ConfigError, SolverError
 from .grid import field_to_csv
@@ -36,19 +36,6 @@ from .sensitivity import (
 )
 from .spectral import alpha_of_mu, compute_mu1
 from .steady import theta_mu
-
-SUBCOMMANDS = ("eigen", "mu1", "steady", "simulate", "classify", "sweep", "check-v")
-
-_EXPERIMENT_KEYS = {
-    "eigen": {"mu_values"},
-    "mu1": set(),
-    "steady": set(),
-    "simulate": set(),
-    "classify": {"tau", "fit_window", "threshold"},
-    "sweep": {"lambda_values", "mu_values"},
-    "check-v": {"dimension", "delta", "envelope_alpha", "s_max"},
-}
-
 
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -72,20 +59,9 @@ def _write_manifest(outdir: Path, subcommand: str, cfg: RunConfig,
     _json_dump(manifest, outdir / "manifest.json")
 
 
-def _float_list(section: str, key: str, raw) -> list[float]:
-    if (not isinstance(raw, list) or not raw
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw)):
-        raise ConfigError(f"{section}.{key} must be a nonempty list of numbers")
-    return [float(x) for x in raw]
-
-
-def _cmd_eigen(cfg: RunConfig, outdir: Path) -> list[str]:
+def _cmd_eigen(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     grid = cfg.grid()
-    mu_values = cfg.experiment.get("mu_values")
-    if mu_values is None:
-        mu_values = [0.1 * k for k in range(11)]
-    else:
-        mu_values = _float_list("experiment", "mu_values", mu_values)
+    mu_values = exp.get("mu_values") or [0.1 * k for k in range(11)]
     with open(outdir / "alpha_table.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("mu,alpha\n")
         for mu in mu_values:
@@ -93,14 +69,14 @@ def _cmd_eigen(cfg: RunConfig, outdir: Path) -> list[str]:
     return ["alpha_table.csv"]
 
 
-def _cmd_mu1(cfg: RunConfig, outdir: Path) -> list[str]:
+def _cmd_mu1(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     value = compute_mu1(cfg.grid())
     print(repr(value))
     _json_dump({"mu1": value, "L": cfg.L, "n": cfg.n}, outdir / "mu1.json")
     return ["mu1.json"]
 
 
-def _cmd_steady(cfg: RunConfig, outdir: Path) -> list[str]:
+def _cmd_steady(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     theta = theta_mu(cfg.grid(), cfg.mu)
     with open(outdir / "theta_profile.csv", "w", encoding="utf-8", newline="") as fh:
         field_to_csv(theta, fh)
@@ -113,7 +89,7 @@ def _run_trajectory(cfg: RunConfig):
     return grid, run(u0, v0, cfg.params(), cfg.control())
 
 
-def _cmd_simulate(cfg: RunConfig, outdir: Path) -> list[str]:
+def _cmd_simulate(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     grid, traj = _run_trajectory(cfg)
     outputs = []
     if "csv" in cfg.formats:
@@ -129,20 +105,9 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path) -> list[str]:
     return outputs
 
 
-def _cmd_classify(cfg: RunConfig, outdir: Path) -> list[str]:
-    exp = cfg.experiment
-    kwargs = {}
-    if "threshold" in exp:
-        kwargs["threshold"] = _need_number("experiment", "threshold", exp["threshold"])
-    if "tau" in exp:
-        kwargs["audit_tau"] = _need_number("experiment", "tau", exp["tau"])
-    if exp.get("fit_window") is not None:
-        w = _float_list("experiment", "fit_window", exp["fit_window"])
-        if len(w) != 2:
-            raise ConfigError("experiment.fit_window must hold exactly two numbers")
-        kwargs["fit_window"] = (w[0], w[1])
+def _cmd_classify(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     grid, traj = _run_trajectory(cfg)
-    report = classify_regime(traj, cfg.params(), grid, **kwargs)
+    report = classify_regime(traj, cfg.params(), grid, **exp)
     _json_dump(report.to_json_dict(), outdir / "report.json")
     outputs = ["report.json"]
     if "csv" in cfg.formats:
@@ -152,18 +117,10 @@ def _cmd_classify(cfg: RunConfig, outdir: Path) -> list[str]:
     return outputs
 
 
-def _cmd_sweep(cfg: RunConfig, outdir: Path) -> list[str]:
+def _cmd_sweep(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     grid = cfg.grid()
-    exp = cfg.experiment
-    if "lambda_values" not in exp or "mu_values" not in exp:
-        raise ConfigError(
-            "experiment.lambda_values and experiment.mu_values are required for sweep"
-        )
-    lams = _float_list("experiment", "lambda_values", exp["lambda_values"])
-    mus = [_need_number("experiment", "mu_values", mu, minimum=0)
-           for mu in _float_list("experiment", "mu_values", exp["mu_values"])]
     u0, v0 = cfg.initial_data(grid)
-    rows, reports = sweep(grid, cfg.params(), cfg.control(), u0, v0, lams, mus)
+    rows, reports = sweep(grid, cfg.params(), cfg.control(), u0, v0, **exp)
     outputs = []
     with open(outdir / "sweep_summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
@@ -171,7 +128,7 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path) -> list[str]:
             fh.write(",".join(_csv_cell(row[c]) for c in SWEEP_COLUMNS) + "\n")
     outputs.append("sweep_summary.csv")
     for idx, report in enumerate(reports):
-        i, j = divmod(idx, len(mus))
+        i, j = divmod(idx, len(exp["mu_values"]))
         name = f"cell_{i}_{j}.json"
         if report is not None:
             _json_dump(report.to_json_dict(), outdir / name)
@@ -189,19 +146,12 @@ def _csv_cell(value) -> str:
     return repr(value)
 
 
-def _cmd_check_v(cfg: RunConfig, outdir: Path) -> list[str]:
-    exp = cfg.experiment
+def _cmd_check_v(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     d = exp.get("dimension", 1)
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ConfigError(f"experiment.dimension must be a positive integer, got {d!r}")
-    delta = _need_number("experiment", "delta", exp.get("delta", 0.1),
-                         minimum=0, strict_min=True, maximum=1)
+    delta = exp.get("delta", 0.1)
     spec = cfg.sensitivity()
     alpha = exp.get("envelope_alpha", spec.envelope_exponent)
-    if alpha is not None:
-        alpha = _need_number("experiment", "envelope_alpha", alpha, minimum=1)
-    s_max = _need_number("experiment", "s_max", exp.get("s_max", 1.0),
-                         minimum=0, strict_min=True)
+    s_max = exp.get("s_max", 1.0)
     report: dict = {"sensitivity": spec.describe(), "dimension": d, "delta": delta}
     try:
         check_hypothesis2(spec)
@@ -240,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "nonlinear flux at the tumor boundary",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _DISPATCH:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None,
                         help="path to a JSON configuration file")
@@ -256,13 +206,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else parse_config("{}")
         if args.out:
             cfg.outdir = args.out
-        allowed = _EXPERIMENT_KEYS[args.subcommand]
-        unknown = set(cfg.experiment) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown configuration key 'experiment.{sorted(unknown)[0]}' "
-                f"for subcommand {args.subcommand!r}"
-            )
+        exp = cfg.experiment_values(args.subcommand)
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
@@ -270,10 +214,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        outputs = _DISPATCH[args.subcommand](cfg, outdir)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        outputs = _DISPATCH[args.subcommand](cfg, exp, outdir)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         _write_manifest(outdir, args.subcommand, cfg, [], "error",

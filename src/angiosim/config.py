@@ -1,7 +1,13 @@
 """Run configuration: a single JSON document, strictly validated.
 
-Unknown keys are rejected and every validation error names the key it
-refers to, so a typo fails loudly instead of silently running defaults.
+This module is the only one that knows the document. _SCHEMA lists every
+section and key with its RunConfig attribute and its check, and
+_EXPERIMENT_SCHEMA lists, for each CLI subcommand, the `experiment` keys
+it accepts and their checks. One walker over these tables parses the
+document: every section must be an object, unknown keys are rejected,
+and each check runs once. RunConfig.echo() is built from the same table.
+Every validation error names the key it refers to, so a typo fails
+loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from .sensitivity import (
 )
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
-
-_SENSITIVITY_FAMILIES = ("saturating-power", "linear-saturating", "truncated-linear")
 
 
 @dataclass
@@ -82,65 +86,169 @@ class RunConfig:
         v = np.full(grid.n, self.v0)
         return make_field(grid, u), make_field(grid, v)
 
+    def experiment_values(self, subcommand: str) -> dict:
+        """The checked `experiment` values of subcommand, keyed by the names
+        it reads them under; ConfigError for an unknown or missing key."""
+        values = _walk(self.experiment, _EXPERIMENT_SCHEMA[subcommand], "experiment", {})
+        for key in _REQUIRED_EXPERIMENT.get(subcommand, ()):
+            if key not in self.experiment:
+                raise ConfigError(f"experiment.{key} is required for {subcommand}")
+        return values
+
     def echo(self) -> dict:
         """Full configuration in the on-disk document shape."""
-        return {
-            "grid": {"L": self.L, "n": self.n},
-            "model": {
-                "lambda": self.lam,
-                "mu": self.mu,
-                "c": self.c,
-                "sensitivity": {
-                    "family": self.family,
-                    "exponent": self.exponent,
-                    "v_max": self.v_max,
-                },
-            },
-            "time": {
-                "dt": "auto" if self.dt is None else self.dt,
-                "t_end": self.t_end,
-                "output_every": self.output_every,
-                "dt_safety": self.dt_safety,
-            },
-            "initial": {
-                "u0": self.u0,
-                "v0": self.v0,
-                "perturb_amplitude": self.perturb_amplitude,
-            },
-            "io": {"outdir": self.outdir, "formats": list(self.formats)},
-            "experiment": dict(self.experiment),
-        }
+
+        def document(schema: dict) -> dict:
+            return {key: document(entry) if isinstance(entry, dict) else getattr(self, entry[0])
+                    for key, entry in schema.items()}
+
+        # the JSON round trip copies every value and turns tuples into lists
+        doc = json.loads(json.dumps(document(_SCHEMA)))
+        if self.dt is None:
+            doc["time"]["dt"] = "auto"
+        return doc
 
 
-def _need_number(section: str, key: str, value, minimum=None,
-                 maximum=None, strict_min=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
-    if minimum is not None and (x <= minimum if strict_min else x < minimum):
-        op = ">" if strict_min else ">="
-        raise ConfigError(f"{section}.{key} must be {op} {minimum}, got {value!r}")
-    if maximum is not None and x > maximum:
-        raise ConfigError(f"{section}.{key} must be <= {maximum}, got {value!r}")
-    return x
+def _number(minimum=None, maximum=None, strict_min=False):
+    """Check for a finite JSON number within the given bounds."""
+
+    def check(where: str, value) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        x = float(value)
+        if not math.isfinite(x):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+        if minimum is not None and (x <= minimum if strict_min else x < minimum):
+            op = ">" if strict_min else ">="
+            raise ConfigError(f"{where} must be {op} {minimum}, got {value!r}")
+        if maximum is not None and x > maximum:
+            raise ConfigError(f"{where} must be <= {maximum}, got {value!r}")
+        return x
+
+    return check
 
 
-def _need_int(section: str, key: str, value, minimum) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{section}.{key} must be >= {minimum}, got {value!r}")
-    return value
+_POSITIVE = _number(minimum=0, strict_min=True)
+_NONNEGATIVE = _number(minimum=0)
 
 
-def _reject_unknown(section: str, given: dict, allowed) -> None:
-    unknown = set(given) - set(allowed)
+def _check(ok, expected: str):
+    """Check that passes on a value for which ok(value) holds."""
+
+    def check(where: str, value):
+        if not ok(value):
+            raise ConfigError(f"{where} must be {expected}, got {value!r}")
+        return value
+
+    return check
+
+
+def _integer(minimum: int):
+    return _check(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+                  f"an integer >= {minimum}")
+
+
+def _one_of(*choices):
+    return _check(lambda v: v in choices, f"one of {list(choices)}")
+
+
+def _list_of(item, length: int | None):
+    """Check for a nonempty list, of exactly length entries unless length
+    is None, whose entries each pass item; returns a tuple."""
+
+    def check(where: str, value) -> tuple:
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            size = "a nonempty" if length is None else f"a {length}-entry"
+            raise ConfigError(f"{where} must be {size} list, got {value!r}")
+        return tuple(item(where, x) for x in value)
+
+    return check
+
+
+def _or_none(check):
+    """Let null through as None, else check."""
+    return lambda where, value: None if value is None else check(where, value)
+
+
+_OBJECT = _check(lambda v: isinstance(v, dict), "an object")
+
+# section -> key -> (RunConfig attribute, check); a nested dict is a subsection.
+_SCHEMA = {
+    "grid": {"L": ("L", _POSITIVE), "n": ("n", _integer(3))},
+    "model": {
+        "lambda": ("lam", _number()),
+        "mu": ("mu", _NONNEGATIVE),
+        "c": ("c", _NONNEGATIVE),
+        "sensitivity": {
+            "family": ("family", _one_of(
+                "saturating-power", "linear-saturating", "truncated-linear")),
+            "exponent": ("exponent", _number(minimum=1)),
+            "v_max": ("v_max", _POSITIVE),
+        },
+    },
+    "time": {
+        "dt": ("dt", lambda where, value: None if value == "auto" else _POSITIVE(where, value)),
+        "t_end": ("t_end", _POSITIVE),
+        "output_every": ("output_every", _integer(1)),
+        "dt_safety": ("dt_safety", _number(minimum=0, maximum=1, strict_min=True)),
+    },
+    "initial": {
+        "u0": ("u0", _NONNEGATIVE),
+        "v0": ("v0", _NONNEGATIVE),
+        "perturb_amplitude": ("perturb_amplitude", _NONNEGATIVE),
+    },
+    "io": {
+        "outdir": ("outdir", _check(lambda v: isinstance(v, str) and v != "",
+                                    "a nonempty string")),
+        "formats": ("formats", _list_of(_one_of("csv", "json"), None)),
+    },
+    # checked per subcommand by RunConfig.experiment_values
+    "experiment": ("experiment", _OBJECT),
+}
+
+# subcommand -> experiment key -> (name the subcommand reads it under, check).
+# A null fit_window or eigen mu_values selects the default; a null
+# envelope_alpha skips the envelope check.
+_EXPERIMENT_SCHEMA = {
+    "eigen": {"mu_values": ("mu_values", _or_none(_list_of(_number(), None)))},
+    "mu1": {},
+    "steady": {},
+    "simulate": {},
+    "classify": {
+        "tau": ("audit_tau", _number()),
+        "fit_window": ("fit_window", _or_none(_list_of(_number(), 2))),
+        "threshold": ("threshold", _number()),
+    },
+    "sweep": {
+        "lambda_values": ("lambda_values", _list_of(_number(), None)),
+        "mu_values": ("mu_values", _list_of(_NONNEGATIVE, None)),
+    },
+    "check-v": {
+        "dimension": ("dimension", _integer(1)),
+        "delta": ("delta", _number(minimum=0, maximum=1, strict_min=True)),
+        "envelope_alpha": ("envelope_alpha", _or_none(_number(minimum=1))),
+        "s_max": ("s_max", _POSITIVE),
+    },
+}
+_REQUIRED_EXPERIMENT = {"sweep": ("lambda_values", "mu_values")}
+
+
+def _walk(node, schema: dict, where: str, values: dict) -> dict:
+    """Check node against schema, storing each checked value in values
+    under its attribute name; returns values."""
+    _OBJECT(where or "configuration document", node)
+    prefix = f"{where}." if where else ""
+    unknown = sorted(set(node) - set(schema))
     if unknown:
-        name = sorted(unknown)[0]
-        where = f"{section}.{name}" if section else name
-        raise ConfigError(f"unknown configuration key {where!r}")
+        raise ConfigError(f"unknown configuration key {prefix + unknown[0]!r}; "
+                          f"{where or 'the document'} takes {sorted(schema)}")
+    for key, entry in schema.items():
+        if key in node and isinstance(entry, dict):
+            _walk(node[key], entry, prefix + key, values)
+        elif key in node:
+            attr, check = entry
+            values[attr] = check(prefix + key, node[key])
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -152,96 +260,7 @@ def parse_config(text: str) -> RunConfig:
             f"configuration is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration document must be a JSON object")
-    _reject_unknown("", doc, ("grid", "model", "time", "initial", "io", "experiment"))
-    cfg = RunConfig()
-
-    grid_sec = doc.get("grid", {})
-    _reject_unknown("grid", grid_sec, ("L", "n"))
-    if "L" in grid_sec:
-        cfg.L = _need_number("grid", "L", grid_sec["L"], minimum=0, strict_min=True)
-    if "n" in grid_sec:
-        cfg.n = _need_int("grid", "n", grid_sec["n"], minimum=3)
-
-    model = doc.get("model", {})
-    _reject_unknown("model", model, ("lambda", "mu", "c", "sensitivity"))
-    if "lambda" in model:
-        cfg.lam = _need_number("model", "lambda", model["lambda"])
-    if "mu" in model:
-        cfg.mu = _need_number("model", "mu", model["mu"], minimum=0)
-    if "c" in model:
-        cfg.c = _need_number("model", "c", model["c"], minimum=0)
-    sens_sec = model.get("sensitivity", {})
-    _reject_unknown("model.sensitivity", sens_sec, ("family", "exponent", "v_max"))
-    if "family" in sens_sec:
-        fam = sens_sec["family"]
-        if fam not in _SENSITIVITY_FAMILIES:
-            raise ConfigError(
-                f"model.sensitivity.family must be one of {_SENSITIVITY_FAMILIES}, "
-                f"got {fam!r}"
-            )
-        cfg.family = fam
-    if "exponent" in sens_sec:
-        cfg.exponent = _need_number(
-            "model.sensitivity", "exponent", sens_sec["exponent"], minimum=1
-        )
-    if "v_max" in sens_sec:
-        cfg.v_max = _need_number(
-            "model.sensitivity", "v_max", sens_sec["v_max"], minimum=0, strict_min=True
-        )
-
-    time_sec = doc.get("time", {})
-    _reject_unknown("time", time_sec, ("dt", "t_end", "output_every", "dt_safety"))
-    if "dt" in time_sec:
-        dt = time_sec["dt"]
-        if dt == "auto":
-            cfg.dt = None
-        else:
-            cfg.dt = _need_number("time", "dt", dt, minimum=0, strict_min=True)
-    if "t_end" in time_sec:
-        cfg.t_end = _need_number(
-            "time", "t_end", time_sec["t_end"], minimum=0, strict_min=True
-        )
-    if "output_every" in time_sec:
-        cfg.output_every = _need_int("time", "output_every", time_sec["output_every"], 1)
-    if "dt_safety" in time_sec:
-        cfg.dt_safety = _need_number(
-            "time", "dt_safety", time_sec["dt_safety"],
-            minimum=0, maximum=1, strict_min=True,
-        )
-
-    initial = doc.get("initial", {})
-    _reject_unknown("initial", initial, ("u0", "v0", "perturb_amplitude"))
-    if "u0" in initial:
-        cfg.u0 = _need_number("initial", "u0", initial["u0"], minimum=0)
-    if "v0" in initial:
-        cfg.v0 = _need_number("initial", "v0", initial["v0"], minimum=0)
-    if "perturb_amplitude" in initial:
-        cfg.perturb_amplitude = _need_number(
-            "initial", "perturb_amplitude", initial["perturb_amplitude"], minimum=0
-        )
-
-    io_sec = doc.get("io", {})
-    _reject_unknown("io", io_sec, ("outdir", "formats"))
-    if "outdir" in io_sec:
-        if not isinstance(io_sec["outdir"], str) or not io_sec["outdir"]:
-            raise ConfigError(f"io.outdir must be a nonempty string, got {io_sec['outdir']!r}")
-        cfg.outdir = io_sec["outdir"]
-    if "formats" in io_sec:
-        fmts = io_sec["formats"]
-        if (not isinstance(fmts, list) or not fmts
-                or any(f not in ("csv", "json") for f in fmts)):
-            raise ConfigError(
-                f"io.formats must be a nonempty list drawn from ['csv', 'json'], got {fmts!r}"
-            )
-        cfg.formats = tuple(fmts)
-
-    experiment = doc.get("experiment", {})
-    if not isinstance(experiment, dict):
-        raise ConfigError("experiment must be an object")
-    cfg.experiment = dict(experiment)
-    return cfg
+    return RunConfig(**_walk(doc, _SCHEMA, "", {}))
 
 
 def load_config(path) -> RunConfig:

@@ -212,7 +212,6 @@ class Trajectory:
     min_u_overall: float = np.inf
     min_v_overall: float = np.inf
     steps_taken: int = 0
-    max_dt_used: float = 0.0
 
     @property
     def times(self) -> np.ndarray:
@@ -260,7 +259,7 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     as exc.trajectory.
     """
     grid = u0.grid
-    if v0.grid is not grid and (v0.grid.L != grid.L or v0.grid.n != grid.n):
+    if v0.grid != grid:
         raise ValueError("u0 and v0 must live on the same grid")
     if u0.values.min() < 0 or v0.values.min() < 0:
         raise ValueError("initial data must be nonnegative")
@@ -282,7 +281,6 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
             t = t + dt
             k += 1
             traj.steps_taken = k
-            traj.max_dt_used = max(traj.max_dt_used, dt)
             traj.min_u_overall = min(traj.min_u_overall, float(u.min()))
             traj.min_v_overall = min(traj.min_v_overall, float(v.min()))
             if k % ctrl.output_every == 0 or t >= t_stop:

@@ -28,12 +28,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Equispaced nodes on [0, L]."""
+    """Equispaced nodes on [0, L]. Grids compare and hash by (L, n),
+    from which h and nodes derive."""
 
     L: float
     n: int
-    h: float = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
+    h: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = self.L / (self.n - 1)

@@ -107,19 +107,15 @@ def principal_eigen(grid: Grid1D, a: Field, robin_mu: float) -> EigenResult:
         f"inverse iteration failed for all shifts down to {shift:g}: {last_exc}")
 
 
+@functools.cache
 def alpha_of_mu(grid: Grid1D, mu: float) -> float:
     """Decay exponent: principal eigenvalue of -d2/dx2 + 1 with
     dw/dn = mu*w on the tumor end. Positive exactly when mu is below
-    the flux threshold. Computed once per (L, n, mu) and cached."""
-    return _alpha(grid.L, grid.n, mu)
-
-
-@functools.cache
-def _alpha(L: float, n: int, mu: float) -> float:
-    grid = Grid1D(L, n)
+    the flux threshold. Computed once per (grid, mu) and cached."""
     return principal_eigen(grid, const_field(grid, 1.0), mu).eigenvalue
 
 
+@functools.cache
 def compute_mu1(grid: Grid1D, tol: float = MU1_TOL) -> float:
     """Flux threshold: the root of mu -> alpha_of_mu(grid, mu).
 
@@ -127,14 +123,8 @@ def compute_mu1(grid: Grid1D, tol: float = MU1_TOL) -> float:
     quadratic form), so bisection on a sign-changing bracket is safe.
     The bracket starts at [0, 1] and doubles its right end if needed.
     The threshold is a pure function of the grid, so it is computed once
-    per (L, n, tol) and cached.
+    per (grid, tol) and cached.
     """
-    return _mu1(grid.L, grid.n, tol)
-
-
-@functools.cache
-def _mu1(L: float, n: int, tol: float) -> float:
-    grid = Grid1D(L, n)
     lo, hi = 0.0, 1.0
     alpha_lo = alpha_of_mu(grid, lo)
     if alpha_lo <= 0.0:

@@ -38,21 +38,16 @@ def theta_closed_form(grid: Grid1D, mu: float) -> Field:
     return make_field(grid, amplitude * np.cosh(grid.nodes) / math.cosh(grid.L))
 
 
+@functools.cache
 def theta_mu(grid: Grid1D, mu: float) -> Field:
     """Positive steady attractant profile for mu above the threshold.
 
     Raises BelowThresholdError when mu <= mu1(grid): there the only
     nonnegative steady solution is zero, and callers must be able to
     tell "no positive state exists" apart from a solver failure.
-    The profile is a pure function of (L, n, mu), so it is solved once
-    per (L, n, mu) and cached.
+    The profile is a pure function of (grid, mu), so it is solved once
+    per (grid, mu) and cached.
     """
-    return _theta(grid.L, grid.n, mu)
-
-
-@functools.cache
-def _theta(L: float, n: int, mu: float) -> Field:
-    grid = Grid1D(L, n)
     mu1 = compute_mu1(grid)
     if mu <= mu1:
         raise BelowThresholdError(

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ def test_parse_config_minimal_fills_defaults():
 def test_parse_config_type_error_names_key():
     with pytest.raises(ConfigError, match="mu"):
         parse_config('{"model": {"mu": "abc"}}')
+    for doc, section in [('{"grid": 5}', "grid"), ('{"grid": "Ln"}', "grid"),
+                         ('{"time": null}', "time"),
+                         ('{"model": {"sensitivity": [1]}}', r"model\.sensitivity")]:
+        with pytest.raises(ConfigError, match=f"^{section} must be an object"):
+            parse_config(doc)
 
 
 def test_parse_config_bounds_error_names_key():
@@ -60,6 +66,22 @@ def test_parse_config_sensitivity_family():
 def test_parse_config_formats():
     with pytest.raises(ConfigError, match="formats"):
         parse_config('{"io": {"formats": ["xml"]}}')
+
+
+def test_readme_example_configuration_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Example configuration", 1)[1].split("```json\n", 1)[1]
+    block = block.split("```", 1)[0]
+    echoed = parse_config(block).echo()
+
+    def assert_echoed(given, echo, where):
+        for key, value in given.items():
+            if isinstance(value, dict) and value:
+                assert_echoed(value, echo[key], f"{where}{key}.")
+            else:
+                assert echo[key] == value, f"{where}{key}"
+
+    assert_echoed(json.loads(block), echoed, "")
 
 
 def test_perturbed_initial_data():
@@ -190,6 +212,10 @@ def test_cli_unknown_experiment_key_exits_2(tmp_path, capsys):
         ("check-v", {"envelope_alpha": 0.5}, "envelope_alpha"),
         ("sweep", {"lambda_values": [0.0], "mu_values": [0.5], "workers": 2}, "workers"),
         ("sweep", {"lambda_values": [0.0], "mu_values": [0.5, -0.5]}, "mu_values"),
+        ("eigen", {"mu_values": [math.inf]}, "mu_values"),
+        ("eigen", {"mu_values": [math.nan]}, "mu_values"),
+        ("sweep", {"lambda_values": [math.inf], "mu_values": [0.5]}, "lambda_values"),
+        ("classify", {"fit_window": [math.inf, math.nan]}, "fit_window"),
     ],
 )
 def test_cli_bad_experiment_value_exits_2(tmp_path, capsys, subcommand, experiment, key):
@@ -211,10 +237,16 @@ def _small_classify_doc(outdir):
 
 def test_cli_classify_report(tmp_path):
     out = str(tmp_path / "o")
-    cfg = write_config(tmp_path, _small_classify_doc(out))
+    doc = _small_classify_doc(out)
+    doc["experiment"] = {"fit_window": None}  # null keeps the default window
+    cfg = write_config(tmp_path, doc)
     assert main(["classify", "--config", cfg]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["params"]["lambda"] == 1.0
+    t_end = report["t_end"]
+    assert report["fits"] and all(
+        fit["window"] == [0.5 * t_end, 0.9 * t_end] for fit in report["fits"]
+    )
     assert report["verdict"] in (
         "converged-to-(lambda,0)", "converged-to-(0,theta_mu)", "undecided"
     )

@@ -152,8 +152,8 @@ def test_sweep_solves_per_mu_work_once(monkeypatch):
     from angiosim import spectral, steady
 
     g = make_grid(1.0, 37)
-    spectral._alpha.cache_clear()
-    steady._theta.cache_clear()
+    spectral.alpha_of_mu.cache_clear()
+    steady.theta_mu.cache_clear()
     spectral.compute_mu1(g)  # the threshold search is not per-mu work
     eigen_solves, newton_solves = [], []
 

@@ -149,10 +149,21 @@ def test_compute_mu1_refinement():
 
 def test_threshold_search_error_paths(grid65, monkeypatch):
     # bypass the per-grid cache so the search runs on the patched map
-    monkeypatch.setattr(spectral, "_mu1", spectral._mu1.__wrapped__)
+    search = compute_mu1.__wrapped__
     monkeypatch.setattr(spectral, "alpha_of_mu", lambda g, mu: -1.0)
     with pytest.raises(ThresholdSearchError):
-        compute_mu1(grid65)
+        search(grid65)
     monkeypatch.setattr(spectral, "alpha_of_mu", lambda g, mu: 1.0)
     with pytest.raises(ThresholdSearchError):
-        compute_mu1(grid65)
+        search(grid65)
+
+
+def test_equal_grids_share_cache_entries():
+    a, b = make_grid(1.0, 33), make_grid(1.0, 33)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_grid(1.0, 65) and a != make_grid(2.0, 33)
+    alpha_of_mu.cache_clear()
+    assert alpha_of_mu(b, 0.25) == alpha_of_mu(a, 0.25)
+    info = alpha_of_mu.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+    assert compute_mu1(a) is compute_mu1(b)
