@@ -43,7 +43,7 @@ class RunConfig:
     family: str = "saturating-power"
     exponent: float = 2.0
     v_max: float = 1.0
-    dt: float | None = None  # None = auto CFL
+    dt: float | None = None  # None = auto dt
     t_end: float = 40.0
     output_every: int = 10
     dt_safety: float = 0.4
@@ -172,6 +172,15 @@ def _or_none(check):
 
 _OBJECT = _check(lambda v: isinstance(v, dict), "an object")
 
+
+def _time_window(where: str, value) -> tuple:
+    """Check for a list [t0, t1] of times with 0 <= t0 < t1."""
+    t0, t1 = _list_of(_NONNEGATIVE, 2)(where, value)
+    if not t0 < t1:
+        raise ConfigError(f"{where} must satisfy t0 < t1, got {value!r}")
+    return t0, t1
+
+
 # section -> key -> (RunConfig attribute, check); a nested dict is a subsection.
 _SCHEMA = {
     "grid": {"L": ("L", _POSITIVE), "n": ("n", _integer(3))},
@@ -215,9 +224,9 @@ _EXPERIMENT_SCHEMA = {
     "steady": {},
     "simulate": {},
     "classify": {
-        "tau": ("audit_tau", _number()),
-        "fit_window": ("fit_window", _or_none(_list_of(_number(), 2))),
-        "threshold": ("threshold", _number()),
+        "tau": ("audit_tau", _NONNEGATIVE),
+        "fit_window": ("fit_window", _or_none(_time_window)),
+        "threshold": ("threshold", _POSITIVE),
     },
     "sweep": {
         "lambda_values": ("lambda_values", _list_of(_number(), None)),

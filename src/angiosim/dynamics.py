@@ -8,15 +8,23 @@ Equations on (0, L):
 with zero Neumann data for u at both ends and for v at the vessel end,
 and the outward flux v_x = mu*v/(1+v) at the tumor end.
 
-Scheme: IMEX Euler. Diffusion is implicit through one tridiagonal solve
-of I + dt*(-d2/dx2) with mirror rows (elliptic.banded_rows), shared by u
-and v. The chemotactic divergence, the logistic term, -v - c*u*v and the
-tumor flux of v are explicit; the flux enters v's tumor-end row as the
-source (2*dt/h)*mu*v/(1+v) in [0, 2*dt*mu/h]. So the matrix depends only
-on (n, h, dt) and is an M-matrix for every dt, and theta_mu is a fixed
-point of the step. run keeps one LDL^T factor of it per distinct dt (a
-new one each step under auto dt). Only the explicit chemotaxis and
-reactions can drive a density negative, which raises PositivityError.
+Scheme: IMEX Euler. Diffusion and the attractant's linear decay -v are
+implicit: the u block I + dt*(-d2/dx2) and the v block
+(1 + dt)*I + dt*(-d2/dx2), each with mirror rows (elliptic.banded_rows),
+are joined by one zero off-diagonal entry into a single 2n system, so a
+step is one LDL^T solve. The chemotactic divergence, the logistic term,
+-c*u*v and the tumor flux of v are explicit; the flux enters v's
+tumor-end row as the source (2*dt/h)*mu*v/(1+v) in [0, 2*dt*mu/h]. So
+the matrix depends only on (n, h, dt) and is an M-matrix for every dt,
+and theta_mu is a fixed point of the step for every dt. run keeps one
+factor of it per distinct dt. Only the explicit chemotaxis and reactions
+can drive a density negative, which raises PositivityError.
+
+Auto dt takes the smaller of two bounds: cfl_dt, for the explicit terms,
+and an accuracy bound min(2*dt_prev, REL_CHANGE*dt_prev/r), where r is
+the previous step's largest relative change |dy|/(|y| + ATOL) of u or v.
+The first step's accuracy bound is REL_CHANGE, the step that changes a
+quantity decaying at unit rate by that fraction.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -53,7 +61,12 @@ __all__ = [
 ]
 
 POSITIVITY_HARD_LIMIT = -1e-9  # beyond this a step is rejected outright
-DRIFT_FLOOR = 1e-30
+RATE_FLOOR = 1e-30  # floor of the drift speed and reaction rate in cfl_dt
+REL_CHANGE = 0.01  # largest relative change of u or v per auto-dt step
+# absolute part of that change's scale; just above harness.FIT_FLOOR, so
+# any v a decay fit can still use keeps steering dt
+ATOL = 1e-12
+END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
 
 DIAG_COLUMNS = (
     "t", "mass_u", "mass_v", "linf_u", "linf_v", "l2_u", "l2_v",
@@ -97,7 +110,8 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Time-stepping controls. dt=None means per-step CFL selection."""
+    """Time-stepping controls. dt=None means auto dt (cfl_dt plus the
+    accuracy bound of run)."""
 
     t_end: float
     dt: float | None = None
@@ -147,31 +161,41 @@ def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
 
     The advective candidate is h over the largest face drift speed
     max|V'(u)| * max|v_x| (the tumor-boundary face contributes its flux
-    value); the reaction cap is 0.5 / max(lam + 2*max u, 1 + c*max u).
-    A safety factor <= 0.5 makes the upwind update provably
+    value); the reaction cap is 0.5 / max(|lam| + 2*max u, c*max u),
+    covering the explicit lam*u - u^2 and -c*u*v. The decay -v is
+    implicit and caps nothing. Both rates are floored at RATE_FLOOR. A
+    safety factor <= 0.5 makes the upwind update provably
     nonnegativity-preserving (boundary cells are half-width, doubling
     their drain rate).
     """
     grad = float(np.abs(np.diff(v)).max()) / h
     grad = max(grad, abs(boundary_flux_v(p, v[-1])))
     drift = float(np.abs(np.asarray(p.V.V_prime(u))).max()) * grad
-    advective = h / max(drift, DRIFT_FLOOR)
+    advective = h / max(drift, RATE_FLOOR)
     linf_u = float(np.abs(u).max())
-    reaction = 0.5 / max(p.lam + 2.0 * linf_u, 1.0 + p.c * linf_u)
+    reaction = 0.5 / max(abs(p.lam) + 2.0 * linf_u, p.c * linf_u, RATE_FLOOR)
     return dt_safety * float(min(advective, reaction))
+
+
+def _step_factor(n: int, h: float, dt: float):
+    """LDL^T factor of the step matrix: the u block I + dt*(-d2/dx2) and
+    the v block (1 + dt)*I + dt*(-d2/dx2), joined by one zero entry."""
+    r = dt / (h * h)
+    d_u, e_u = banded_rows(n, h, r, 1.0)
+    d_v, e_v = banded_rows(n, h, r, 1.0 + dt)
+    return factor((np.concatenate((d_u, d_v)), np.concatenate((e_u, [0.0], e_v))))
 
 
 def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
              t: float, dt: float, solve) -> tuple[np.ndarray, np.ndarray]:
-    """One IMEX Euler step from (u, v) at time t, with solve the factor
-    of I + dt*(-d2/dx2); returns the new arrays."""
+    """One IMEX Euler step from (u, v) at time t, with solve the
+    _step_factor of dt; returns the new arrays."""
     h = grid.h
     div = chemotaxis_divergence(grid, u, v, p)
-    v_rhs = v + dt * (-v - p.c * u * v)
-    # Explicit tumor-flux source: keeps the shared matrix state-free.
+    v_rhs = v - dt * p.c * u * v
+    # Explicit tumor-flux source: keeps the step matrix state-free.
     v_rhs[-1] += 2.0 * dt / h * boundary_flux_v(p, v[-1])
-    rhs = np.column_stack((u + dt * (-div + p.lam * u - u * u), v_rhs))
-    uv = solve(rhs)
+    uv = solve(np.column_stack((u + dt * (-div + p.lam * u - u * u), v_rhs)))
     t_new = t + dt
     if not np.all(np.isfinite(uv)):
         raise SolverError(
@@ -186,14 +210,21 @@ def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
     return uv[:, 0], uv[:, 1]
 
 
+def _relative_change(old: np.ndarray, new: np.ndarray) -> float:
+    """Largest |new - old| / (|new| + ATOL) over the nodes."""
+    return float((np.abs(new - old) / (np.abs(new) + ATOL)).max())
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
-    """One IMEX Euler step; dt from ctrl or, if unset, from cfl_dt."""
+    """One IMEX Euler step; dt from ctrl or, if unset, the dt of run's
+    first auto-dt step: cfl_dt, at most REL_CHANGE."""
     grid = state.u.grid
     u, v = state.u.values, state.v.values
-    dt = ctrl.dt if ctrl.dt is not None else cfl_dt(u, v, grid.h, p, ctrl.dt_safety)
-    solve = factor(banded_rows(grid.n, grid.h, dt / (grid.h * grid.h), 1.0))
-    u, v = _advance(grid, p, u, v, state.t, dt, solve)
+    dt = ctrl.dt
+    if dt is None:
+        dt = min(cfl_dt(u, v, grid.h, p, ctrl.dt_safety), REL_CHANGE)
+    u, v = _advance(grid, p, u, v, state.t, dt, _step_factor(grid.n, grid.h, dt))
     return SimState(state.t + dt, make_field(grid, u), make_field(grid, v))
 
 
@@ -212,6 +243,8 @@ class Trajectory:
     min_u_overall: float = np.inf
     min_v_overall: float = np.inf
     steps_taken: int = 0
+    dt_min: float = np.inf  # smallest and largest dt of the steps taken
+    dt_max: float = 0.0
 
     @property
     def times(self) -> np.ndarray:
@@ -253,10 +286,11 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     """Integrate from (u0, v0) to t_end, recording every output_every
     steps (plus the initial and final states).
 
-    The loop steps on plain arrays; Fields are built only for the
-    recorded snapshots. Initial data must be nonnegative. On a solver
-    failure the partial trajectory is attached to the raised exception
-    as exc.trajectory.
+    Fixed-dt times are k*dt, and the last step lands on t_end exactly
+    (shortened only if dt would overshoot it). The loop steps on plain
+    arrays; Fields are built only for the recorded snapshots. Initial
+    data must be nonnegative. On a solver failure the partial trajectory
+    is attached to the raised exception as exc.trajectory.
     """
     grid = u0.grid
     if v0.grid != grid:
@@ -268,22 +302,40 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     traj.min_u_overall = float(u.min())
     traj.min_v_overall = float(v.min())
     traj._record(SimState(0.0, u0, v0))
-    t_stop = ctrl.t_end - 1e-12
+    t_end = ctrl.t_end
+    slack = END_SLACK * t_end
     t, k, h = 0.0, 0, grid.h
     solve_dt = solve = None
+    # accuracy bound on the next auto-dt step. The first assumes unit rates
+    # (v's decay rate): with u = 0, cfl_dt bounds nothing, and the run
+    # would otherwise reach t_end in one step.
+    dt_accurate = REL_CHANGE
     try:
-        while t < t_stop:
-            dt = ctrl.dt if ctrl.dt is not None else cfl_dt(u, v, h, p, ctrl.dt_safety)
-            dt = min(dt, ctrl.t_end - t)
+        while t < t_end:
+            if ctrl.dt is None:
+                dt = min(cfl_dt(u, v, h, p, ctrl.dt_safety), dt_accurate)
+                t_new = t + dt
+            else:
+                dt = ctrl.dt
+                t_new = (k + 1) * dt
+            if t_new >= t_end - slack:
+                if t_new > t_end + slack:
+                    dt = t_end - t
+                t_new = t_end
             if dt != solve_dt:
-                solve_dt, solve = dt, factor(banded_rows(grid.n, h, dt / (h * h), 1.0))
-            u, v = _advance(grid, p, u, v, t, dt, solve)
-            t = t + dt
+                solve_dt, solve = dt, _step_factor(grid.n, h, dt)
+            u_new, v_new = _advance(grid, p, u, v, t, dt, solve)
+            if ctrl.dt is None:
+                r = max(_relative_change(u, u_new), _relative_change(v, v_new))
+                dt_accurate = 2.0 * dt if 2.0 * r <= REL_CHANGE else REL_CHANGE * dt / r
+            u, v, t = u_new, v_new, t_new
             k += 1
             traj.steps_taken = k
+            traj.dt_min = min(traj.dt_min, dt)
+            traj.dt_max = max(traj.dt_max, dt)
             traj.min_u_overall = min(traj.min_u_overall, float(u.min()))
             traj.min_v_overall = min(traj.min_v_overall, float(v.min()))
-            if k % ctrl.output_every == 0 or t >= t_stop:
+            if k % ctrl.output_every == 0 or t == t_end:
                 traj._record(SimState(t, make_field(grid, u), make_field(grid, v)))
     except SolverError as exc:
         exc.trajectory = traj

@@ -77,16 +77,22 @@ def assemble(grid: Grid1D, a: Field,
 
 
 def factor(op: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """LDL^T factor of the (d, e) pair op as the solve rhs -> A^-1 rhs
-    (one or more columns); SpectralShiftError if op is not positive definite."""
+    """LDL^T factor of the (d, e) pair op as the solve rhs -> A^-1 rhs;
+    SpectralShiftError if op is not positive definite.
+
+    rhs has one or more columns of op's length. op may instead stack k
+    blocks of length n, joined by zero entries of e; rhs then has shape
+    (n, k), column j belonging to block j, and is solved as one system.
+    """
     d, e, info = dpttrf(*op)
     if info > 0:
         raise SpectralShiftError(f"matrix is not positive definite (minor {info})")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         b = np.array(rhs, dtype=float, order="F")
-        b[[0, -1]] *= 0.5  # W*rhs
-        return dpttrs(d, e, b, overwrite_b=True)[0]
+        b[[0, -1]] *= 0.5  # W*rhs, at both ends of every column
+        x = dpttrs(d, e, b.reshape(len(d), -1, order="F"), overwrite_b=True)[0]
+        return x.reshape(b.shape, order="F")
     return solve
 
 

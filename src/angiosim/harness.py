@@ -167,6 +167,9 @@ class RegimeReport:
     final_dist_v: float          # inf-norm of v(t_end), or L2 dist to theta
     final_linf_u: float
     final_linf_v: float
+    steps: int                   # time steps of the run and their dt range
+    dt_min: float
+    dt_max: float
     fits: list = field(default_factory=list)
     mass: MassAudit | None = None
     positivity_ok: bool = True
@@ -200,6 +203,9 @@ class RegimeReport:
             "final_dist_v": self.final_dist_v,
             "final_linf_u": self.final_linf_u,
             "final_linf_v": self.final_linf_v,
+            "steps": self.steps,
+            "dt_min": self.dt_min,
+            "dt_max": self.dt_max,
             "fits": [f.to_json_dict() for f in self.fits],
             "mass_audit": self.mass.to_json_dict() if self.mass else None,
             "positivity_ok": self.positivity_ok,
@@ -318,6 +324,9 @@ def classify_regime(
         final_dist_v=dist_v,
         final_linf_u=linf_u,
         final_linf_v=linf_v,
+        steps=traj.steps_taken,
+        dt_min=traj.dt_min,
+        dt_max=traj.dt_max,
         fits=fits,
         mass=mass,
         positivity_ok=positivity_ok,

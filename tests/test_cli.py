@@ -216,6 +216,12 @@ def test_cli_unknown_experiment_key_exits_2(tmp_path, capsys):
         ("eigen", {"mu_values": [math.nan]}, "mu_values"),
         ("sweep", {"lambda_values": [math.inf], "mu_values": [0.5]}, "lambda_values"),
         ("classify", {"fit_window": [math.inf, math.nan]}, "fit_window"),
+        ("classify", {"threshold": 0}, "threshold"),
+        ("classify", {"threshold": -1}, "threshold"),
+        ("classify", {"tau": -5}, "tau"),
+        ("classify", {"fit_window": [7, 2]}, "fit_window"),
+        ("classify", {"fit_window": [3, 3]}, "fit_window"),
+        ("classify", {"fit_window": [-1, 2]}, "fit_window"),
     ],
 )
 def test_cli_bad_experiment_value_exits_2(tmp_path, capsys, subcommand, experiment, key):
@@ -250,6 +256,7 @@ def test_cli_classify_report(tmp_path):
     assert report["verdict"] in (
         "converged-to-(lambda,0)", "converged-to-(0,theta_mu)", "undecided"
     )
+    assert report["steps"] == 800 and report["dt_min"] == report["dt_max"] == 0.01
     assert (tmp_path / "o" / "diagnostics.csv").exists()
 
 

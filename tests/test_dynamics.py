@@ -15,8 +15,10 @@ from angiosim.dynamics import (
     write_diagnostics_csv,
     write_trajectory_csv,
 )
+from angiosim.elliptic import banded_rows, factor
 from angiosim.errors import PositivityError, SolverError
 from angiosim.grid import const_field, make_field, make_grid
+from angiosim.harness import fit_decay
 from angiosim.sensitivity import saturating_power
 from angiosim.steady import theta_mu
 
@@ -88,10 +90,27 @@ def test_zero_v_is_invariant(grid65):
 
 
 def test_cfl_dt_zero_state(grid65, zero_V):
-    p = ModelParams(lam=0.0, mu=0.5, c=3.0, V=zero_V)
-    zero = np.zeros(grid65.n)
-    assert cfl_dt(zero, zero, grid65.h, p, dt_safety=0.4) == pytest.approx(0.4 * 0.5, abs=1e-15)
-    assert cfl_dt(zero, zero, grid65.h, p, dt_safety=1.0) == pytest.approx(0.5, abs=1e-15)
+    # The decay -v is implicit, so only the explicit reactions cap dt:
+    # 0.5 / max(|lam| + 2*max u, c*max u).
+    zero, one = np.zeros(grid65.n), np.ones(grid65.n)
+    decay_only = ModelParams(lam=0.0, mu=0.5, c=3.0, V=zero_V)
+    assert cfl_dt(zero, zero, grid65.h, decay_only, dt_safety=1.0) > 1e20
+    shrinking = ModelParams(lam=-3.0, mu=0.5, c=3.0, V=zero_V)
+    assert cfl_dt(zero, zero, grid65.h, shrinking, dt_safety=0.4) == pytest.approx(
+        0.4 * 0.5 / 3.0, abs=1e-15)
+    consuming = ModelParams(lam=0.0, mu=0.5, c=5.0, V=zero_V)
+    assert cfl_dt(one, zero, grid65.h, consuming, dt_safety=1.0) == pytest.approx(
+        0.1, abs=1e-15)
+
+
+def test_auto_dt_step_from_zero_density_is_bounded(grid65):
+    # with u = 0 no explicit term caps dt; step takes run's first-step bound
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    start = SimState(0.0, const_field(grid65, 0.0), const_field(grid65, 0.5))
+    state = step(start, p, StepControl(t_end=1.0))
+    traj = run(start.u, start.v, p, StepControl(t_end=1.0, output_every=1))
+    assert state.t == traj.times[1] == angiosim.dynamics.REL_CHANGE
+    assert np.array_equal(state.v.values, traj.states[1].v.values)
 
 
 def test_cfl_dt_halves_when_gradient_doubles(grid65):
@@ -142,6 +161,59 @@ def test_fixed_dt_run_factors_once_per_dt(grid65, monkeypatch, t_end, factors):
                StepControl(t_end=t_end, dt=0.125))
     assert traj.steps_taken == 8 + (factors - 1)
     assert len(calls) == factors
+
+
+def test_step_factor_matches_per_block_solves(grid65):
+    # the 2n system is the two blocks side by side, W applied at all four ends
+    n, h, dt = grid65.n, grid65.h, 0.3
+    r = dt / (h * h)
+    rng = np.random.default_rng(0)
+    rhs = rng.random((n, 2))
+    joint = angiosim.dynamics._step_factor(n, h, dt)(rhs)
+    u = factor(banded_rows(n, h, r, 1.0))(rhs[:, 0])
+    v = factor(banded_rows(n, h, r, 1.0 + dt))(rhs[:, 1])
+    assert joint.shape == (n, 2)
+    np.testing.assert_allclose(joint[:, 0], u, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(joint[:, 1], v, rtol=1e-14, atol=0.0)
+
+
+def test_fixed_dt_run_ends_on_t_end():
+    # 1000 additions of 0.01 fall short of 10; times are k*dt instead
+    g = make_grid(1.0, 33)
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(g, 0.5), const_field(g, 0.5), p,
+               StepControl(t_end=10.0, dt=0.01, output_every=100))
+    assert traj.times[-1] == 10.0
+    assert traj.steps_taken == 1000
+    assert traj.dt_min == traj.dt_max == 0.01
+
+
+@pytest.mark.parametrize("lam", [-10.0, -50.0])
+def test_negative_lam_auto_dt_stays_nonnegative(grid65, lam):
+    # the reaction cap must bound |lam|: a shrinking population drains u
+    # explicitly just as fast as a growing one feeds it
+    p = ModelParams(lam=lam, mu=0.5, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
+               StepControl(t_end=2.0))
+    assert traj.times[-1] == 2.0
+    assert traj.min_u_overall >= 0.0
+    assert traj.min_v_overall >= 0.0
+
+
+@pytest.mark.parametrize("u0", [0.5, 0.0])
+def test_auto_dt_decay_rate_matches_fixed_dt(u0):
+    # The accuracy bound keeps the fitted v-decay rate of an auto-dt run
+    # within 3% of a fine fixed-dt run. Under the stability bounds alone
+    # dt grows so fast that the fit window holds only 5 steps, and with
+    # u = 0 the first step would reach t_end.
+    g = make_grid(1.0, 129)
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    rates = []
+    for dt in (None, 0.005):
+        traj = run(const_field(g, u0), const_field(g, 0.5), p,
+                   StepControl(t_end=40.0, dt=dt, output_every=5))
+        rates.append(fit_decay(traj.times, traj.series("linf_v"), (20.0, 36.0)).rate)
+    assert rates[0] == pytest.approx(rates[1], rel=0.03)
 
 
 def test_run_rejects_bad_initial_data(grid65):
