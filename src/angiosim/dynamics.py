@@ -20,11 +20,13 @@ and theta_mu is a fixed point of the step for every dt. run keeps one
 factor of it per distinct dt. Only the explicit chemotaxis and reactions
 can drive a density negative, which raises PositivityError.
 
-Auto dt takes the smaller of two bounds: cfl_dt, for the explicit terms,
-and an accuracy bound min(2*dt_prev, REL_CHANGE*dt_prev/r), where r is
-the previous step's largest relative change |dy|/(|y| + ATOL) of u or v.
-The first step's accuracy bound is REL_CHANGE, the step that changes a
-quantity decaying at unit rate by that fraction.
+Auto dt (run only) takes the smaller of two bounds: cfl_dt, for the
+explicit terms, and an accuracy bound min(2*dt_prev, REL_CHANGE*dt_prev/r),
+where r is the previous step's largest relative change |dy|/(|y| + ATOL)
+of u or v. The first step's accuracy bound is REL_CHANGE, the step that
+changes a quantity decaying at unit rate by that fraction. dt is then
+rounded down to a power of 2**(1/DT_RUNGS), so that steps of nearly
+equal dt share one factor.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -37,6 +39,7 @@ round-off. Audits rely on this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +69,9 @@ REL_CHANGE = 0.01  # largest relative change of u or v per auto-dt step
 # absolute part of that change's scale; just above harness.FIT_FLOOR, so
 # any v a decay fit can still use keeps steering dt
 ATOL = 1e-12
+# auto dt is rounded down to a power 2**(k/DT_RUNGS), so that steps of
+# nearly equal dt share one factor
+DT_RUNGS = 16
 END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
 
 DIAG_COLUMNS = (
@@ -110,8 +116,7 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Time-stepping controls. dt=None means auto dt (cfl_dt plus the
-    accuracy bound of run)."""
+    """Time-stepping controls. dt=None means run's auto dt."""
 
     t_end: float
     dt: float | None = None
@@ -187,9 +192,10 @@ def _step_factor(n: int, h: float, dt: float):
 
 
 def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
-             t: float, dt: float, solve) -> tuple[np.ndarray, np.ndarray]:
+             t: float, dt: float, solve) -> np.ndarray:
     """One IMEX Euler step from (u, v) at time t, with solve the
-    _step_factor of dt; returns the new arrays."""
+    _step_factor of dt; returns the new u and v as the columns of one
+    (n, 2) array."""
     h = grid.h
     div = chemotaxis_divergence(grid, u, v, p)
     v_rhs = v - dt * p.c * u * v
@@ -207,25 +213,19 @@ def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
             t=t_new,
             min_value=low,
         )
-    return uv[:, 0], uv[:, 1]
-
-
-def _relative_change(old: np.ndarray, new: np.ndarray) -> float:
-    """Largest |new - old| / (|new| + ATOL) over the nodes."""
-    return float((np.abs(new - old) / (np.abs(new) + ATOL)).max())
+    return uv
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
-    """One IMEX Euler step; dt from ctrl or, if unset, the dt of run's
-    first auto-dt step: cfl_dt, at most REL_CHANGE."""
-    grid = state.u.grid
-    u, v = state.u.values, state.v.values
-    dt = ctrl.dt
-    if dt is None:
-        dt = min(cfl_dt(u, v, grid.h, p, ctrl.dt_safety), REL_CHANGE)
-    u, v = _advance(grid, p, u, v, state.t, dt, _step_factor(grid.n, grid.h, dt))
-    return SimState(state.t + dt, make_field(grid, u), make_field(grid, v))
+    """One IMEX Euler step of the fixed ctrl.dt. Auto dt needs the step
+    history that only run keeps."""
+    if ctrl.dt is None:
+        raise ValueError("step needs a fixed ctrl.dt; auto dt is run's")
+    grid, dt = state.u.grid, ctrl.dt
+    uv = _advance(grid, p, state.u.values, state.v.values, state.t, dt,
+                  _step_factor(grid.n, grid.h, dt))
+    return SimState(state.t + dt, make_field(grid, uv[:, 0]), make_field(grid, uv[:, 1]))
 
 
 @dataclass
@@ -298,9 +298,9 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     if u0.values.min() < 0 or v0.values.min() < 0:
         raise ValueError("initial data must be nonnegative")
     traj = Trajectory(grid=grid, params=p, ctrl=ctrl)
-    u, v = u0.values, v0.values
-    traj.min_u_overall = float(u.min())
-    traj.min_v_overall = float(v.min())
+    uv = np.column_stack((u0.values, v0.values))
+    traj.min_u_overall = float(u0.values.min())
+    traj.min_v_overall = float(v0.values.min())
     traj._record(SimState(0.0, u0, v0))
     t_end = ctrl.t_end
     slack = END_SLACK * t_end
@@ -312,8 +312,10 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     dt_accurate = REL_CHANGE
     try:
         while t < t_end:
+            u, v = uv[:, 0], uv[:, 1]
             if ctrl.dt is None:
                 dt = min(cfl_dt(u, v, h, p, ctrl.dt_safety), dt_accurate)
+                dt = 2.0 ** (math.floor(DT_RUNGS * math.log2(dt)) / DT_RUNGS)
                 t_new = t + dt
             else:
                 dt = ctrl.dt
@@ -324,19 +326,22 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
                 t_new = t_end
             if dt != solve_dt:
                 solve_dt, solve = dt, _step_factor(grid.n, h, dt)
-            u_new, v_new = _advance(grid, p, u, v, t, dt, solve)
+            uv_new = _advance(grid, p, u, v, t, dt, solve)
             if ctrl.dt is None:
-                r = max(_relative_change(u, u_new), _relative_change(v, v_new))
+                # largest relative change |dy| / (|y| + ATOL) of u or v
+                r = float((np.abs(uv_new - uv) / (np.abs(uv_new) + ATOL)).max())
                 dt_accurate = 2.0 * dt if 2.0 * r <= REL_CHANGE else REL_CHANGE * dt / r
-            u, v, t = u_new, v_new, t_new
+            uv, t = uv_new, t_new
             k += 1
             traj.steps_taken = k
             traj.dt_min = min(traj.dt_min, dt)
             traj.dt_max = max(traj.dt_max, dt)
-            traj.min_u_overall = min(traj.min_u_overall, float(u.min()))
-            traj.min_v_overall = min(traj.min_v_overall, float(v.min()))
+            low_u, low_v = uv.min(axis=0)
+            traj.min_u_overall = min(traj.min_u_overall, float(low_u))
+            traj.min_v_overall = min(traj.min_v_overall, float(low_v))
             if k % ctrl.output_every == 0 or t == t_end:
-                traj._record(SimState(t, make_field(grid, u), make_field(grid, v)))
+                traj._record(SimState(t, make_field(grid, uv[:, 0]),
+                                      make_field(grid, uv[:, 1])))
     except SolverError as exc:
         exc.trajectory = traj
         raise

@@ -103,14 +103,40 @@ def test_cfl_dt_zero_state(grid65, zero_V):
         0.1, abs=1e-15)
 
 
-def test_auto_dt_step_from_zero_density_is_bounded(grid65):
-    # with u = 0 no explicit term caps dt; step takes run's first-step bound
+def test_step_refuses_auto_dt(grid65):
     p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
-    start = SimState(0.0, const_field(grid65, 0.0), const_field(grid65, 0.5))
-    state = step(start, p, StepControl(t_end=1.0))
-    traj = run(start.u, start.v, p, StepControl(t_end=1.0, output_every=1))
-    assert state.t == traj.times[1] == angiosim.dynamics.REL_CHANGE
-    assert np.array_equal(state.v.values, traj.states[1].v.values)
+    start = SimState(0.0, const_field(grid65, 0.5), const_field(grid65, 0.5))
+    with pytest.raises(ValueError, match="fixed ctrl.dt"):
+        step(start, p, StepControl(t_end=1.0))
+
+
+def test_auto_dt_first_step_from_zero_density_is_bounded(grid65):
+    # With u = 0 cfl_dt bounds nothing; the first step takes the accuracy
+    # bound's start value REL_CHANGE, rounded down onto the dt ladder.
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(grid65, 0.0), const_field(grid65, 0.5), p,
+               StepControl(t_end=1.0, output_every=1))
+    rel, rungs = angiosim.dynamics.REL_CHANGE, angiosim.dynamics.DT_RUNGS
+    assert rel * 2.0 ** (-1.0 / rungs) < traj.times[1] <= rel
+
+
+def test_auto_dt_steps_share_factors(grid65, monkeypatch):
+    # auto dt lies on the ladder 2**(k/DT_RUNGS), and run factors once
+    # per change of dt, so steps on one rung share a factor
+    dts = []
+    original = angiosim.dynamics._step_factor
+
+    def counted(n, h, dt):
+        dts.append(dt)
+        return original(n, h, dt)
+
+    monkeypatch.setattr(angiosim.dynamics, "_step_factor", counted)
+    p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
+               StepControl(t_end=5.0))
+    rungs = np.log2(dts[:-1]) * angiosim.dynamics.DT_RUNGS
+    np.testing.assert_allclose(rungs, np.round(rungs), rtol=0.0, atol=1e-9)
+    assert len(dts) < traj.steps_taken / 4
 
 
 def test_cfl_dt_halves_when_gradient_doubles(grid65):
@@ -202,10 +228,11 @@ def test_negative_lam_auto_dt_stays_nonnegative(grid65, lam):
 
 @pytest.mark.parametrize("u0", [0.5, 0.0])
 def test_auto_dt_decay_rate_matches_fixed_dt(u0):
-    # The accuracy bound keeps the fitted v-decay rate of an auto-dt run
-    # within 3% of a fine fixed-dt run. Under the stability bounds alone
-    # dt grows so fast that the fit window holds only 5 steps, and with
-    # u = 0 the first step would reach t_end.
+    # The fitted v-decay rate of an auto-dt run stays within 3% of a fine
+    # fixed-dt run: the accuracy bound lets dt grow beyond the decay cap
+    # only once u and v change little per step. Under the stability
+    # bounds alone dt grows so fast that the fit window holds only 5
+    # steps, and with u = 0 nothing bounds dt at all.
     g = make_grid(1.0, 129)
     p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     rates = []
