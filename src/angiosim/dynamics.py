@@ -16,12 +16,23 @@ step is one LDL^T solve. The chemotactic divergence, the logistic term,
 -c*u*v and the tumor flux of v are explicit; the flux enters v's
 tumor-end row as the source (2*dt/h)*mu*v/(1+v) in [0, 2*dt*mu/h]. So
 the matrix depends only on (n, h, dt) and is an M-matrix for every dt,
-and theta_mu is a fixed point of the step for every dt. run keeps one
-factor of it per distinct dt. Only the explicit chemotaxis and reactions
-can drive a density negative, which raises PositivityError.
+and theta_mu is a fixed point of the step for every dt. Only the
+explicit chemotaxis and reactions can drive a density negative, which
+raises PositivityError.
 
-Auto dt (run only) takes the smaller of two bounds: cfl_dt, for the
-explicit terms, and an accuracy bound min(2*dt_prev, REL_CHANGE*dt_prev/r),
+One kernel, run_batch, steps k runs at once. They share the grid, the
+initial data, V and the step controls, but each has its own lam, mu and
+c. Their state is one Fortran-ordered (2n, k) array, u rows above v
+rows, one column per run: the layout in which dpttrs solves in place.
+So a step evaluates the explicit terms once on (n, k) arrays, and all
+columns that share a dt share one factor and one solve. Time control is
+per column: each has its own t, dt, accuracy bound, step count and
+running minima, and leaves the batch when it reaches t_end or its step
+fails. One factor is kept per distinct dt of the current step. run is a
+batch of one, and step is one step of it.
+
+Auto dt takes the smaller of two bounds: cfl_dt, for the explicit
+terms, and an accuracy bound min(2*dt_prev, REL_CHANGE*dt_prev/r),
 where r is the previous step's largest relative change |dy|/(|y| + ATOL)
 of u or v. The first step's accuracy bound is REL_CHANGE, the step that
 changes a quantity decaying at unit rate by that fraction. dt is then
@@ -40,6 +51,7 @@ round-off. Audits rely on this.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +69,7 @@ __all__ = [
     "cfl_dt",
     "step",
     "run",
+    "run_batch",
     "chemotaxis_divergence",
     "boundary_flux_v",
     "write_trajectory_csv",
@@ -108,6 +121,29 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
+class _Columns:
+    """The parameters of a batch: lam, mu and c as arrays of one value
+    per column, and the V all columns share. chemotaxis_divergence,
+    boundary_flux_v and cfl_dt take it in place of a ModelParams."""
+
+    lam: np.ndarray
+    mu: np.ndarray
+    c: np.ndarray
+    V: SensitivitySpec
+
+    @classmethod
+    def of(cls, params) -> _Columns:
+        V = params[0].V
+        if any(p.V != V for p in params):
+            raise ValueError("the runs of a batch must share one sensitivity V")
+        return cls(*(np.array([getattr(p, name) for p in params])
+                     for name in ("lam", "mu", "c")), V)
+
+    def take(self, keep: np.ndarray) -> _Columns:
+        return _Columns(self.lam[keep], self.mu[keep], self.c[keep], self.V)
+
+
+@dataclass(frozen=True)
 class SimState:
     t: float
     u: Field
@@ -134,14 +170,16 @@ class StepControl:
             raise ValueError("output_every must be >= 1")
 
 
-def boundary_flux_v(p: ModelParams, v_boundary: float) -> float:
-    """Outward flux of v at the tumor end: mu * v / (1 + v)."""
-    return float(p.mu * v_boundary / (1.0 + v_boundary))
+def boundary_flux_v(p: ModelParams, v_boundary):
+    """Outward flux of v at the tumor end: mu * v / (1 + v), per column
+    when p holds a batch's parameters."""
+    return p.mu * v_boundary / (1.0 + v_boundary)
 
 
 def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
                           p: ModelParams) -> np.ndarray:
-    """Divergence of the upwind chemotactic flux J = V(u) v_x.
+    """Divergence of the upwind chemotactic flux J = V(u) v_x, of nodal
+    values u and v of shape (n,) or, one column per run, (n, k).
 
     Faces between nodes use the upwind u (left value when v increases
     across the face). The vessel-end face flux is zero; the tumor-end
@@ -150,19 +188,26 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
     """
     h = grid.h
     dv = v[1:] - v[:-1]
-    u_up = np.where(dv > 0.0, u[:-1], u[1:])
-    j = np.asarray(p.V.V(u_up)) * dv / h
-    j_tumor = float(np.asarray(p.V.V(u[-1]))) * boundary_flux_v(p, v[-1])
-    div = np.empty(grid.n)
+    # the upwind u of every face, then the tumor node: one call of V
+    u_up = np.empty_like(u)
+    u_up[:-1] = u[1:]
+    np.copyto(u_up[:-1], u[:-1], where=dv > 0.0)
+    u_up[-1] = u[-1]
+    vu = np.asarray(p.V.V(u_up))
+    j = np.multiply(vu[:-1], dv, out=dv)  # the face fluxes, in place of dv
+    j /= h
+    div = np.empty_like(u)
     div[0] = j[0] / (0.5 * h)
-    div[1:-1] = (j[1:] - j[:-1]) / h
-    div[-1] = (j_tumor - j[-1]) / (0.5 * h)
+    np.subtract(j[1:], j[:-1], out=div[1:-1])
+    div[1:-1] /= h
+    div[-1] = (vu[-1] * boundary_flux_v(p, v[-1]) - j[-1]) / (0.5 * h)
     return div
 
 
 def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
-           dt_safety: float = 0.4) -> float:
-    """Largest safe step for the explicit terms, times dt_safety.
+           dt_safety: float = 0.4):
+    """Largest safe step for the explicit terms, times dt_safety; one per
+    column when u and v are (n, k) and p holds a batch's parameters.
 
     The advective candidate is h over the largest face drift speed
     max|V'(u)| * max|v_x| (the tumor-boundary face contributes its flux
@@ -173,13 +218,13 @@ def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
     nonnegativity-preserving (boundary cells are half-width, doubling
     their drain rate).
     """
-    grad = float(np.abs(np.diff(v)).max()) / h
-    grad = max(grad, abs(boundary_flux_v(p, v[-1])))
-    drift = float(np.abs(np.asarray(p.V.V_prime(u))).max()) * grad
-    advective = h / max(drift, RATE_FLOOR)
-    linf_u = float(np.abs(u).max())
-    reaction = 0.5 / max(abs(p.lam) + 2.0 * linf_u, p.c * linf_u, RATE_FLOOR)
-    return dt_safety * float(min(advective, reaction))
+    grad = np.abs(v[1:] - v[:-1]).max(axis=0) / h
+    grad = np.maximum(grad, np.abs(boundary_flux_v(p, v[-1])))
+    drift = np.abs(np.asarray(p.V.V_prime(u))).max(axis=0) * grad
+    advective = h / np.maximum(drift, RATE_FLOOR)
+    linf_u = np.abs(u).max(axis=0)
+    rate = np.maximum(np.maximum(np.abs(p.lam) + 2.0 * linf_u, p.c * linf_u), RATE_FLOOR)
+    return dt_safety * np.minimum(advective, 0.5 / rate)
 
 
 def _step_factor(n: int, h: float, dt: float):
@@ -191,54 +236,88 @@ def _step_factor(n: int, h: float, dt: float):
     return factor((np.concatenate((d_u, d_v)), np.concatenate((e_u, [0.0], e_v))))
 
 
-def _advance(grid: Grid1D, p: ModelParams, u: np.ndarray, v: np.ndarray,
-             t: float, dt: float, solve) -> np.ndarray:
-    """One IMEX Euler step from (u, v) at time t, with solve the
-    _step_factor of dt; returns the new u and v as the columns of one
-    (n, 2) array."""
-    h = grid.h
-    div = chemotaxis_divergence(grid, u, v, p)
-    v_rhs = v - dt * p.c * u * v
+def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list, dts: list,
+             factors: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """One IMEX Euler step of the batch y, column j from time t[j] by
+    dts[j]. y is a (2n, k) array, or the (2n,) column of a batch of one,
+    whose cols is then a ModelParams (see run_batch). factors maps each
+    distinct dt to its _step_factor.
+
+    Returns the new batch, the minima of u and v per column as a (2, k)
+    array, and the SolverError of each column whose step failed, by
+    column: non-finite values, or a density below POSITIVITY_HARD_LIMIT.
+    """
+    n, h = grid.n, grid.h
+    u, v = y[:n], y[n:]
+    dt = np.array(dts) if y.ndim == 2 else dts[0]
+    # u + dt*(-div + lam*u - u^2) and v - dt*c*u*v, rounded as written,
+    # with few temporaries alive at once
+    div = chemotaxis_divergence(grid, u, v, cols)
+    g = cols.lam * u
+    g -= div
+    g -= np.multiply(u, u, out=div)
+    g *= dt
+    rhs = np.empty_like(y)
+    np.add(u, g, out=rhs[:n])
+    g = np.multiply(dt * cols.c, u, out=g)
+    g *= v
+    np.subtract(v, g, out=rhs[n:])
     # Explicit tumor-flux source: keeps the step matrix state-free.
-    v_rhs[-1] += 2.0 * dt / h * boundary_flux_v(p, v[-1])
-    uv = solve(np.column_stack((u + dt * (-div + p.lam * u - u * u), v_rhs)))
-    t_new = t + dt
-    if not np.all(np.isfinite(uv)):
-        raise SolverError(
-            f"density became non-finite at t={t_new:g}: an explicit term overflowed")
-    low = float(uv.min())
-    if low < POSITIVITY_HARD_LIMIT:
-        raise PositivityError(
-            f"density dropped to {low:.3e} at t={t_new:g}; dt={dt:g} is too large",
-            t=t_new,
-            min_value=low,
-        )
-    return uv
+    rhs[-1] += 2.0 * dt / h * boundary_flux_v(cols, v[-1])
+    if len(factors) == 1:
+        (solve,) = factors.values()
+        rhs = solve(rhs)
+    else:
+        for step_dt, solve in factors.items():
+            same = np.flatnonzero(dt == step_dt)
+            rhs[:, same] = solve(rhs[:, same])
+    lows = rhs.reshape((n, 2, -1), order="F").min(axis=0)
+    errors = {}
+    if not (lows.min() >= POSITIVITY_HARD_LIMIT and rhs.max() < np.inf):
+        finite = np.isfinite(rhs.reshape(2 * n, -1)).all(axis=0)
+        low = lows.min(axis=0)
+        for j in np.flatnonzero(~finite | (low < POSITIVITY_HARD_LIMIT)):
+            t_new = t[j] + dts[j]
+            if not finite[j]:
+                errors[j] = SolverError(f"density became non-finite at t={t_new:g}: "
+                                        "an explicit term overflowed")
+            else:
+                errors[j] = PositivityError(
+                    f"density dropped to {low[j]:.3e} at t={t_new:g}; "
+                    f"dt={dts[j]:g} is too large",
+                    t=t_new,
+                    min_value=float(low[j]),
+                )
+    return rhs, lows, errors
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
-    """One IMEX Euler step of the fixed ctrl.dt. Auto dt needs the step
-    history that only run keeps."""
+    """One IMEX Euler step of the fixed ctrl.dt, taken as a batch of one.
+    Auto dt needs the step history that only run_batch keeps."""
     if ctrl.dt is None:
         raise ValueError("step needs a fixed ctrl.dt; auto dt is run's")
-    grid, dt = state.u.grid, ctrl.dt
-    uv = _advance(grid, p, state.u.values, state.v.values, state.t, dt,
-                  _step_factor(grid.n, grid.h, dt))
-    return SimState(state.t + dt, make_field(grid, uv[:, 0]), make_field(grid, uv[:, 1]))
+    grid, n, dt = state.u.grid, state.u.grid.n, ctrl.dt
+    y = np.concatenate((state.u.values, state.v.values))
+    y, _, errors = _advance(grid, p, y, [state.t], [dt], {dt: _step_factor(n, grid.h, dt)})
+    if errors:
+        raise errors[0]
+    return SimState(state.t + dt, make_field(grid, y[:n]), make_field(grid, y[n:]))
 
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-snapshot diagnostics (the DIAG_COLUMNS series)
-    of one simulation."""
+    """Snapshots plus per-snapshot diagnostics (the DIAG_COLUMNS series,
+    each an array of doubles) of one simulation. A run_batch(...,
+    keep_states=False) trajectory keeps every diagnostics row, but in
+    states only the final state of a run that reached t_end."""
 
     grid: Grid1D
     params: ModelParams
     ctrl: StepControl
     states: list = field(default_factory=list)
     diagnostics: dict = field(
-        default_factory=lambda: {name: [] for name in DIAG_COLUMNS}
+        default_factory=lambda: {name: array("d") for name in DIAG_COLUMNS}
     )
     min_u_overall: float = np.inf
     min_v_overall: float = np.inf
@@ -248,21 +327,23 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray(self.diagnostics["t"])
+        return self.series("t")
 
     def series(self, name: str) -> np.ndarray:
-        return np.asarray(self.diagnostics[name])
+        # a copy: a view would stop the array from growing
+        return np.array(self.diagnostics[name])
 
     def final_state(self) -> SimState:
         return self.states[-1]
 
-    def _record(self, state: SimState):
+    def _record(self, t: float, u: np.ndarray, v: np.ndarray, keep: bool):
+        """Append the diagnostics row of the state (t, u, v), and the
+        state itself if keep."""
         p = self.params
         h = self.grid.h
-        u, v = state.u.values, state.v.values
-        flux = boundary_flux_v(p, v[-1])
+        flux = float(boundary_flux_v(p, v[-1]))
         row = (
-            state.t,
+            t,
             trapezoid(h, u),
             trapezoid(h, v),
             float(np.abs(u).max()),
@@ -278,74 +359,127 @@ class Trajectory:
         )
         for name, value in zip(DIAG_COLUMNS, row):
             self.diagnostics[name].append(value)
-        self.states.append(state)
+        if keep:
+            self.states.append(SimState(t, make_field(self.grid, u), make_field(self.grid, v)))
+
+
+def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
+    """Integrate from (u0, v0) to t_end: run_batch on a batch of one.
+
+    On a solver failure the partial trajectory is attached to the raised
+    exception as exc.trajectory.
+    """
+    (result,) = run_batch(u0, v0, [p], ctrl)
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
-    """Integrate from (u0, v0) to t_end, recording every output_every
-    steps (plus the initial and final states).
+def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
+              keep_states: bool = True) -> list:
+    """Integrate from (u0, v0) to t_end once per ModelParams in params,
+    the runs advancing together as the columns of one batch.
 
-    Fixed-dt times are k*dt, and the last step lands on t_end exactly
-    (shortened only if dt would overshoot it). The loop steps on plain
-    arrays; Fields are built only for the recorded snapshots. Initial
-    data must be nonnegative. On a solver failure the partial trajectory
-    is attached to the raised exception as exc.trajectory.
+    The runs must share V. Each is recorded every output_every of its
+    own steps, plus its initial and final states. Fixed-dt times are
+    k*dt, and the last step lands on t_end exactly (shortened only if
+    dt would overshoot it). Initial data must be nonnegative.
+
+    Returns, in the order of params, each run's Trajectory, or the
+    SolverError that stopped it with its partial trajectory attached as
+    exc.trajectory. A failed run leaves the batch; the others go on
+    unchanged. With keep_states False a trajectory keeps its diagnostics
+    rows but no snapshot state except the final one, so that a large
+    batch does not hold every snapshot alive.
     """
     grid = u0.grid
     if v0.grid != grid:
         raise ValueError("u0 and v0 must live on the same grid")
     if u0.values.min() < 0 or v0.values.min() < 0:
         raise ValueError("initial data must be nonnegative")
-    traj = Trajectory(grid=grid, params=p, ctrl=ctrl)
-    uv = np.column_stack((u0.values, v0.values))
-    traj.min_u_overall = float(u0.values.min())
-    traj.min_v_overall = float(v0.values.min())
-    traj._record(SimState(0.0, u0, v0))
+    if not params:
+        raise ValueError("a batch needs at least one ModelParams")
+    k, n, h = len(params), grid.n, grid.h
+    trajs = [Trajectory(grid=grid, params=p, ctrl=ctrl) for p in params]
+    for traj in trajs:
+        traj._record(0.0, u0.values, v0.values, keep=False)
+        if keep_states:
+            traj.states.append(SimState(0.0, u0, v0))
+    results: list = list(trajs)
+    # The state: u rows above v rows, k copies as the columns of a
+    # Fortran-ordered (2n, k) array. A batch of one drops the column
+    # axis and keeps its ModelParams, so its per-column values are
+    # scalars, whose arithmetic costs a fraction of one-element arrays'.
+    y = np.concatenate((u0.values, v0.values))
+    cols = params[0]
+    if k > 1:
+        y, cols = np.tile(y, (k, 1)).T, _Columns.of(params)
+    # Per column, in step with the columns of y: its run, time, dt range,
+    # running minima of u and v, and the accuracy bound on its next
+    # auto-dt step. The first bound assumes unit rates (v's decay rate):
+    # with u = 0, cfl_dt bounds nothing, and the run would otherwise
+    # reach t_end in one step. Every column has taken `steps` steps.
+    live, t = list(range(k)), [0.0] * k
+    dt_lo, dt_hi = [np.inf] * k, [0.0] * k
+    lows = np.array([[u0.values.min()], [v0.values.min()]]).repeat(k, axis=1)
+    dt_accurate = [REL_CHANGE] * k
+    steps = 0
     t_end = ctrl.t_end
     slack = END_SLACK * t_end
-    t, k, h = 0.0, 0, grid.h
-    solve_dt = solve = None
-    # accuracy bound on the next auto-dt step. The first assumes unit rates
-    # (v's decay rate): with u = 0, cfl_dt bounds nothing, and the run
-    # would otherwise reach t_end in one step.
-    dt_accurate = REL_CHANGE
-    try:
-        while t < t_end:
-            u, v = uv[:, 0], uv[:, 1]
-            if ctrl.dt is None:
-                dt = min(cfl_dt(u, v, h, p, ctrl.dt_safety), dt_accurate)
-                dt = 2.0 ** (math.floor(DT_RUNGS * math.log2(dt)) / DT_RUNGS)
-                t_new = t + dt
-            else:
-                dt = ctrl.dt
-                t_new = (k + 1) * dt
-            if t_new >= t_end - slack:
-                if t_new > t_end + slack:
-                    dt = t_end - t
-                t_new = t_end
-            if dt != solve_dt:
-                solve_dt, solve = dt, _step_factor(grid.n, h, dt)
-            uv_new = _advance(grid, p, u, v, t, dt, solve)
-            if ctrl.dt is None:
-                # largest relative change |dy| / (|y| + ATOL) of u or v
-                r = float((np.abs(uv_new - uv) / (np.abs(uv_new) + ATOL)).max())
-                dt_accurate = 2.0 * dt if 2.0 * r <= REL_CHANGE else REL_CHANGE * dt / r
-            uv, t = uv_new, t_new
-            k += 1
-            traj.steps_taken = k
-            traj.dt_min = min(traj.dt_min, dt)
-            traj.dt_max = max(traj.dt_max, dt)
-            low_u, low_v = uv.min(axis=0)
-            traj.min_u_overall = min(traj.min_u_overall, float(low_u))
-            traj.min_v_overall = min(traj.min_v_overall, float(low_v))
-            if k % ctrl.output_every == 0 or t == t_end:
-                traj._record(SimState(t, make_field(grid, uv[:, 0]),
-                                      make_field(grid, uv[:, 1])))
-    except SolverError as exc:
-        exc.trajectory = traj
-        raise
-    return traj
+    factors: dict = {}
+
+    def settle(j):
+        traj = trajs[live[j]]
+        traj.steps_taken, traj.dt_min, traj.dt_max = steps, dt_lo[j], dt_hi[j]
+        traj.min_u_overall, traj.min_v_overall = float(lows[0, j]), float(lows[1, j])
+
+    while live:
+        if ctrl.dt is None:
+            bound = np.reshape(cfl_dt(y[:n], y[n:], h, cols, ctrl.dt_safety), -1).tolist()
+            dts = [2.0 ** (math.floor(DT_RUNGS * math.log2(min(b, a))) / DT_RUNGS)
+                   for b, a in zip(bound, dt_accurate)]
+            t_new = [ti + dt for ti, dt in zip(t, dts)]
+        else:
+            dts = [ctrl.dt] * len(live)
+            t_new = [(steps + 1) * ctrl.dt] * len(live)
+        for j, tj in enumerate(t_new):
+            if tj >= t_end - slack:
+                if tj > t_end + slack:
+                    dts[j] = t_end - t[j]
+                t_new[j] = t_end
+        factors = {dt: factors.get(dt) or _step_factor(n, h, dt) for dt in dict.fromkeys(dts)}
+        y_new, new_lows, errors = _advance(grid, cols, y, t, dts, factors)
+        if ctrl.dt is None:
+            # largest relative change |dy| / (|y| + ATOL) of u or v
+            r = np.reshape((np.abs(y_new - y) / (np.abs(y_new) + ATOL)).max(axis=0), -1).tolist()
+            dt_accurate = [2.0 * dt if 2.0 * q <= REL_CHANGE else REL_CHANGE * dt / q
+                           for dt, q in zip(dts, r)]
+        for j, error in errors.items():
+            settle(j)
+            error.trajectory = trajs[live[j]]
+            results[live[j]] = error
+        y, t = y_new, t_new
+        steps += 1
+        dt_lo, dt_hi = list(map(min, dt_lo, dts)), list(map(max, dt_hi, dts))
+        np.minimum(lows, new_lows, out=lows)
+        ended = [j for j, tj in enumerate(t) if tj == t_end and j not in errors]
+        recorded = ended if steps % ctrl.output_every else range(len(live))
+        columns = y.reshape(2 * n, -1)
+        for j in recorded:
+            if j not in errors:
+                trajs[live[j]]._record(t[j], columns[:n, j], columns[n:, j],
+                                       keep=keep_states or t[j] == t_end)
+        for j in ended:
+            settle(j)
+        if errors or ended:
+            keep = [j for j in range(len(live)) if j not in errors and t[j] != t_end]
+            if not keep:
+                break
+            live, t, dt_lo, dt_hi, dt_accurate = (
+                [a[j] for j in keep] for a in (live, t, dt_lo, dt_hi, dt_accurate))
+            lows, y, cols = lows[:, keep], np.asfortranarray(y[:, keep]), cols.take(keep)
+    return results
 
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:

@@ -77,28 +77,31 @@ def assemble(grid: Grid1D, a: Field,
 
 
 def factor(op: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """LDL^T factor of the (d, e) pair op as the solve rhs -> A^-1 rhs;
+    """LDL^T factor of the (d, e) pair op as the in-place solve b -> A^-1 b;
     SpectralShiftError if op is not positive definite.
 
-    rhs has one or more columns of op's length. op may instead stack k
-    blocks of length n, joined by zero entries of e; rhs then has shape
-    (n, k), column j belonging to block j, and is solved as one system.
+    b is a float vector of op's length, or a matrix of such columns; the
+    solve returns the solution, written over b when b is contiguous in
+    Fortran order. op may stack independent blocks, joined by zero
+    entries of e; the trapezoid weights W then apply at both ends of
+    every block.
     """
+    joins = np.flatnonzero(op[1] == 0.0)
+    ends = np.concatenate(([0], joins, joins + 1, [len(op[0]) - 1]))
     d, e, info = dpttrf(*op)
     if info > 0:
         raise SpectralShiftError(f"matrix is not positive definite (minor {info})")
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        b = np.array(rhs, dtype=float, order="F")
-        b[[0, -1]] *= 0.5  # W*rhs, at both ends of every column
-        x = dpttrs(d, e, b.reshape(len(d), -1, order="F"), overwrite_b=True)[0]
-        return x.reshape(b.shape, order="F")
+    def solve(b: np.ndarray) -> np.ndarray:
+        b[ends] *= 0.5  # W*b
+        return dpttrs(d, e, b, overwrite_b=True)[0]
     return solve
 
 
 def solve_linear(op: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """factor(op)(rhs); a non-finite result also raises SpectralShiftError."""
-    w = factor(op)(rhs)
+    """factor(op) applied to a copy of rhs; a non-finite result also
+    raises SpectralShiftError."""
+    w = factor(op)(np.array(rhs, dtype=float))
     if not np.all(np.isfinite(w)):
         raise SpectralShiftError("LDL^T solve produced non-finite values")
     return w

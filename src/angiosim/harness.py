@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import sensitivity as sens
-from .dynamics import ModelParams, StepControl, Trajectory, run
+from .dynamics import ModelParams, StepControl, Trajectory, run_batch
 from .errors import CannotFitError, SolverError
 from .grid import Field, Grid1D, l2_norm
 from .spectral import alpha_of_mu, compute_mu1
@@ -376,25 +376,29 @@ def sweep(
 ) -> tuple[list[dict], list[RegimeReport | None]]:
     """Classify every (lambda, mu) cell of the cartesian product.
 
-    Cells are independent; failures are recorded in their row and do not
-    stop the sweep. Returns (rows, reports) in row-major (lambda, mu)
-    order.
+    All cells advance together as the columns of one dynamics.run_batch,
+    which keeps each cell's diagnostics and final state, not its
+    snapshots. A cell that fails leaves the batch with its error
+    recorded in its row; the others run on. Returns (rows, reports) in
+    row-major (lambda, mu) order.
     """
     if not lambda_values or not mu_values:
         raise ValueError("sweep needs nonempty lambda and mu lists")
+    params = [replace(base_params, lam=lam, mu=mu)
+              for lam in lambda_values for mu in mu_values]
     rows: list[dict] = []
     reports: list[RegimeReport | None] = []
-    for lam in lambda_values:
-        for mu in mu_values:
-            p = replace(base_params, lam=lam, mu=mu)
-            try:
-                report = classify_regime(run(u0, v0, p, ctrl), p, grid)
-            except SolverError as exc:
-                row = {k: "" for k in SWEEP_COLUMNS}
-                row.update({"lambda": lam, "mu": mu, "verdict": f"error: {exc}"})
-                rows.append(row)
-                reports.append(None)
-            else:
-                rows.append(_sweep_row(report))
-                reports.append(report)
+    for p, result in zip(params, run_batch(u0, v0, params, ctrl, keep_states=False)):
+        try:
+            if isinstance(result, SolverError):
+                raise result
+            report = classify_regime(result, p, grid)
+        except SolverError as exc:
+            row = {k: "" for k in SWEEP_COLUMNS}
+            row.update({"lambda": p.lam, "mu": p.mu, "verdict": f"error: {exc}"})
+            rows.append(row)
+            reports.append(None)
+        else:
+            rows.append(_sweep_row(report))
+            reports.append(report)
     return rows, reports

@@ -313,6 +313,45 @@ def test_cli_sweep(tmp_path):
     assert (tmp_path / "o" / "cell_1_0.json").exists()
 
 
+def _small_sweep_doc(outdir):
+    # auto dt: the cells take different step counts, straddling mu1
+    return {
+        "grid": {"n": 33},
+        "initial": {"perturb_amplitude": 0.05},
+        "time": {"dt": "auto", "t_end": 3.0, "output_every": 5},
+        "io": {"outdir": outdir},
+        "experiment": {"lambda_values": [0.0, 1.0], "mu_values": [0.3, 0.9, 1.2]},
+    }
+
+
+def test_cli_sweep_cells_match_classify_reports(tmp_path):
+    # a sweep cell is the report classify writes for that (lambda, mu)
+    doc = _small_sweep_doc(str(tmp_path / "sweep"))
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+    exp = doc.pop("experiment")
+    for i, lam in enumerate(exp["lambda_values"]):
+        for j, mu in enumerate(exp["mu_values"]):
+            out = tmp_path / f"classify_{i}_{j}"
+            doc["model"] = {"lambda": lam, "mu": mu}
+            doc["io"] = {"outdir": str(out)}
+            cfg = write_config(tmp_path, doc, f"classify_{i}_{j}.json")
+            assert main(["classify", "--config", cfg]) == 0
+            cell = (tmp_path / "sweep" / f"cell_{i}_{j}.json").read_bytes()
+            assert cell == (out / "report.json").read_bytes()
+
+
+def test_cli_sweep_reruns_are_byte_identical(tmp_path):
+    # criterion 8e for sweep: every output but the manifest repeats exactly
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for k, out in enumerate(outs):
+        cfg = write_config(tmp_path, _small_sweep_doc(str(out)), f"c{k}.json")
+        assert main(["sweep", "--config", cfg]) == 0
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+    assert len(names) == 7  # the summary and six cells
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_cli_sweep_requires_lists(tmp_path, capsys):
     cfg = write_config(tmp_path, {"io": {"outdir": str(tmp_path / "o")}})
     assert main(["sweep", "--config", cfg]) == 2

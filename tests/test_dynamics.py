@@ -190,17 +190,18 @@ def test_fixed_dt_run_factors_once_per_dt(grid65, monkeypatch, t_end, factors):
 
 
 def test_step_factor_matches_per_block_solves(grid65):
-    # the 2n system is the two blocks side by side, W applied at all four ends
+    # the 2n system is the u block above the v block, W applied at all
+    # four block ends; the solves overwrite their right-hand sides
     n, h, dt = grid65.n, grid65.h, 0.3
     r = dt / (h * h)
     rng = np.random.default_rng(0)
-    rhs = rng.random((n, 2))
-    joint = angiosim.dynamics._step_factor(n, h, dt)(rhs)
-    u = factor(banded_rows(n, h, r, 1.0))(rhs[:, 0])
-    v = factor(banded_rows(n, h, r, 1.0 + dt))(rhs[:, 1])
-    assert joint.shape == (n, 2)
-    np.testing.assert_allclose(joint[:, 0], u, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(joint[:, 1], v, rtol=1e-14, atol=0.0)
+    rhs = rng.random(2 * n)
+    joint = angiosim.dynamics._step_factor(n, h, dt)(rhs.copy())
+    u = factor(banded_rows(n, h, r, 1.0))(rhs[:n].copy())
+    v = factor(banded_rows(n, h, r, 1.0 + dt))(rhs[n:].copy())
+    assert joint.shape == (2 * n,)
+    np.testing.assert_allclose(joint[:n], u, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(joint[n:], v, rtol=1e-14, atol=0.0)
 
 
 def test_fixed_dt_run_ends_on_t_end():

@@ -1,17 +1,20 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from angiosim.dynamics import ModelParams, StepControl, run
-from angiosim.errors import CannotFitError
-from angiosim.grid import const_field, make_grid
+from angiosim.dynamics import ModelParams, StepControl, run, run_batch
+from angiosim.errors import CannotFitError, PositivityError, SolverError
+from angiosim.grid import const_field, make_field, make_grid
 from angiosim.harness import (
     SWEEP_COLUMNS,
     VERDICT_TO_LAM0,
     VERDICT_TO_THETA,
     VERDICT_UNDECIDED,
+    _sweep_row,
     classify_regime,
     fit_decay,
     mass_audit,
@@ -197,3 +200,98 @@ def test_sweep_rejects_empty_lists():
     f = const_field(g, 0.5)
     with pytest.raises(ValueError):
         sweep(g, base, ctrl, f, f, [], [0.5])
+
+
+def _solo(u0, v0, p, ctrl, g):
+    """The trajectory (or error), sweep row and report of one cell run alone."""
+    try:
+        traj = run(u0, v0, p, ctrl)
+    except SolverError as exc:
+        row = {k: "" for k in SWEEP_COLUMNS}
+        row.update({"lambda": p.lam, "mu": p.mu, "verdict": f"error: {exc}"})
+        return exc, row, None
+    report = classify_regime(traj, p, g)
+    return traj, _sweep_row(report), report
+
+
+def _assert_same_trajectory(batched, solo):
+    assert batched.steps_taken == solo.steps_taken
+    assert (batched.dt_min, batched.dt_max) == (solo.dt_min, solo.dt_max)
+    assert batched.min_u_overall == solo.min_u_overall
+    assert batched.min_v_overall == solo.min_v_overall
+    for name, series in solo.diagnostics.items():  # exactly, NaN where solo has NaN
+        np.testing.assert_array_equal(batched.series(name), series)
+    final, want = batched.final_state(), solo.final_state()
+    assert final.t == want.t
+    assert np.array_equal(final.u.values, want.u.values)
+    assert np.array_equal(final.v.values, want.v.values)
+
+
+@pytest.mark.parametrize("dt, lams, mus", [
+    (0.03, [0.0, 0.5, 1.0], [0.3, 0.6, 0.9, 1.2]),  # 33 steps of 0.03, then 0.01
+    (None, [0.0, 0.5, 1.0], [0.3, 0.6, 0.9, 1.2]),
+    (0.03, [0.5], [1.2]),
+    (None, [0.5], [1.2]),
+])
+def test_sweep_matches_solo_runs_bitwise(dt, lams, mus):
+    # the batch kernel must give each cell exactly what run gives it alone
+    g = make_grid(1.0, 65)
+    base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    ctrl = StepControl(t_end=1.0 if dt else 3.0, dt=dt, output_every=4)
+    u0 = make_field(g, 0.5 + 0.1 * np.cos(np.pi * g.nodes))
+    v0 = const_field(g, 0.5)
+    params = [replace(base, lam=lam, mu=mu) for lam in lams for mu in mus]
+    rows, reports = sweep(g, base, ctrl, u0, v0, lams, mus)
+    batched = run_batch(u0, v0, params, ctrl, keep_states=False)
+    steps = set()
+    for p, row, report, traj in zip(params, rows, reports, batched):
+        solo_traj, solo_row, solo_report = _solo(u0, v0, p, ctrl, g)
+        assert row == solo_row
+        assert report.to_json_dict() == solo_report.to_json_dict()
+        _assert_same_trajectory(traj, solo_traj)
+        assert len(traj.states) == 1 and traj.times[-1] == ctrl.t_end
+        steps.add(traj.steps_taken)
+        if dt:
+            assert traj.dt_min < dt == traj.dt_max  # the clipped last step
+    if dt is None and len(params) > 1:
+        assert len(steps) > 1  # cells end on different step counts
+
+
+@pytest.mark.parametrize("lams", [[0.0, 1e300], [0.0, -60.0, 1e300]])
+def test_sweep_isolates_a_failing_cell(lams):
+    # lam = 1e300 overflows on the second step, lam = -60 drives u negative
+    # on the first; each such cell leaves the batch with the error and
+    # partial trajectory of its solo run, and the others run on unchanged,
+    # without a numpy warning
+    g = make_grid(1.0, 33)
+    base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    ctrl = StepControl(t_end=1.0, dt=0.05, output_every=1)
+    u0 = v0 = const_field(g, 0.5)
+    params = [replace(base, lam=lam) for lam in lams]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, reports = sweep(g, base, ctrl, u0, v0, lams, [0.5])
+        batched = run_batch(u0, v0, params, ctrl)
+    for p, row, report, result in zip(params, rows, reports, batched):
+        solo, solo_row, solo_report = _solo(u0, v0, p, ctrl, g)
+        assert row == solo_row
+        assert type(result) is type(solo)
+        if isinstance(solo, SolverError):
+            assert report is None and str(result) == str(solo)
+            assert row["verdict"].startswith("error: density")
+            _assert_same_trajectory(result.trajectory, solo.trajectory)
+        else:
+            assert report.to_json_dict() == solo_report.to_json_dict()
+            _assert_same_trajectory(result, solo)
+    assert isinstance(batched[-1], SolverError)
+    assert not isinstance(batched[-1], PositivityError)
+    assert isinstance(batched[1], PositivityError) == (len(lams) == 3)
+
+
+def test_run_batch_checks_its_params(grid65):
+    f = const_field(grid65, 0.5)
+    params = [ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(s)) for s in (2.0, 3.0)]
+    with pytest.raises(ValueError, match="share one sensitivity"):
+        run_batch(f, f, params, StepControl(t_end=1.0, dt=0.1))
+    with pytest.raises(ValueError, match="at least one"):
+        run_batch(f, f, [], StepControl(t_end=1.0, dt=0.1))
