@@ -499,12 +499,16 @@ def write_diagnostics_csv(traj: Trajectory, fh, theta: Field | None = None) -> N
 
     l2_v_minus_theta is the distance to the supplied steady profile;
     below the flux threshold the relevant profile is 0 and theta may be
-    omitted.
+    omitted. The trajectory must keep the state of every diagnostics
+    row: a run_batch(..., keep_states=False) one raises ValueError.
     """
+    d = traj.diagnostics
+    if len(traj.states) != len(d["t"]):
+        raise ValueError(f"trajectory keeps {len(traj.states)} states for "
+                         f"{len(d['t'])} diagnostics rows")
     fh.write("t,mass_u,mass_v,linf_u,linf_v,l2_v_minus_theta,boundary_flux_v\n")
     theta_vals = theta.values if theta is not None else 0.0
     h = traj.grid.h
-    d = traj.diagnostics
     for i, state in enumerate(traj.states):
         row = (
             d["t"][i],

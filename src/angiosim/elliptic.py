@@ -16,14 +16,28 @@ Every matrix is stored as W*A, W = diag(1/2, 1, ..., 1, 1/2) the
 trapezoid weights: a symmetric tridiagonal (d, e) pair, solved by the
 no-pivot LDL^T of LAPACK dpttrf/dpttrs, which exists exactly when W*A is
 positive definite. One factor serves many solves.
+
+LAPACK is loaded without the scipy.linalg package: importing that
+package costs about 0.3 s of a CLI call (scipy.linalg's own imports pull
+in numpy.f2py, numpy.testing and more), while the package needs only
+dpttrf and dpttrs. _ldlt_routines loads scipy's f2py extension
+linalg/_flapack by its file path and takes the two routines from it;
+this is the very extension scipy.linalg.lapack wraps, so every factor
+and solve is the same compiled code. If that load fails for any reason,
+for example in a scipy whose layout has no such file, the routines come
+from scipy.linalg.lapack instead.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .errors import (
     NonConvergenceError,
@@ -44,6 +58,37 @@ __all__ = [
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 8
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _ldlt_routines() -> tuple[Callable, Callable]:
+    """LAPACK (dpttrf, dpttrs) from scipy's extension linalg/_flapack,
+    loaded by file path so that the scipy.linalg package is not
+    imported; scipy.linalg.lapack's if that load fails."""
+    try:
+        linalg = Path(scipy.__file__).parent / "linalg"
+        path = next(p for p in (linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES)
+                    if p.is_file())
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        held = sys.modules.get(_FLAPACK)
+        try:
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+        finally:
+            # A single-phase extension module enters itself in sys.modules
+            # under its name. Restore that entry, so that a later import of
+            # scipy.linalg sets _flapack up as a submodule of its package.
+            if held is None:
+                sys.modules.pop(_FLAPACK, None)
+            else:
+                sys.modules[_FLAPACK] = held
+        return flapack.dpttrf, flapack.dpttrs
+    except Exception:  # whatever stopped the direct load, the public module serves
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        return dpttrf, dpttrs
+
+
+dpttrf, dpttrs = _ldlt_routines()
 
 
 def banded_rows(n: int, h: float, r: float, diag: float | np.ndarray,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -413,3 +416,27 @@ def test_cli_manifest_round_trip(tmp_path):
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["mu1", "--config", str(tmp_path / "nope.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # A fresh interpreter: the CLI imports without the scipy.linalg
+    # package (its LAPACK routines are loaded directly, not through the
+    # fallback), and the package still imports afterwards.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys\n"
+        "import angiosim.cli\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        "import numpy as np\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "d, e, info = lapack.dpttrf(np.full(4, 2.0), np.full(3, -1.0))\n"
+        "assert info == 0\n"
+        "x, info = lapack.dpttrs(d, e, np.ones(4))\n"
+        "assert info == 0 and np.allclose(x, [2.0, 3.0, 3.0, 2.0])\n"
+        "import scipy.linalg\n"
+        "assert scipy.linalg._flapack is sys.modules['scipy.linalg._flapack']\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

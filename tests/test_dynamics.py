@@ -11,6 +11,7 @@ from angiosim.dynamics import (
     Trajectory,
     cfl_dt,
     run,
+    run_batch,
     step,
     write_diagnostics_csv,
     write_trajectory_csv,
@@ -416,6 +417,27 @@ def test_trajectory_csv_writers(grid65, tmp_path):
     dlines = dpath.read_text().splitlines()
     assert dlines[0] == "t,mass_u,mass_v,linf_u,linf_v,l2_v_minus_theta,boundary_flux_v"
     assert len(dlines) == 1 + len(traj.states)
+
+
+def test_diagnostics_csv_needs_every_state(tmp_path):
+    # a keep_states=False trajectory holds 1 state for 6 diagnostics rows;
+    # pairing them would write t=0 beside the final state's distance
+    grid = make_grid(1.0, 33)
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    ctrl = StepControl(t_end=1.0, dt=0.1, output_every=2)
+    u0, v0 = const_field(grid, 0.5), const_field(grid, 0.5)
+    (lean,) = run_batch(u0, v0, [p], ctrl, keep_states=False)
+    assert (len(lean.states), len(lean.times)) == (1, 6)
+    with open(tmp_path / "lean.csv", "w", newline="") as fh:
+        with pytest.raises(ValueError, match="1 states for 6 diagnostics rows"):
+            write_diagnostics_csv(lean, fh)
+    (full,) = run_batch(u0, v0, [p], ctrl)
+    with open(tmp_path / "full.csv", "w", newline="") as fh:
+        write_diagnostics_csv(full, fh)
+    rows = (tmp_path / "full.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    t, *_, l2_v, _ = map(float, rows[0].split(","))
+    assert t == 0.0 and l2_v == pytest.approx(0.5, rel=1e-12)
 
 
 def test_trajectory_csv_bytes_match_reference(tmp_path):

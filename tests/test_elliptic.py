@@ -1,8 +1,12 @@
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+from angiosim import elliptic
 from angiosim.elliptic import (
     assemble,
     flux_residual,
@@ -273,3 +277,41 @@ def test_operator_diagonally_dominant_for_nonneg_potential(grid65):
     row_gap[1:] -= np.abs(e)  # row i couples to node i-1
     row_gap[:-1] -= np.abs(e)  # row i couples to node i+1
     assert row_gap.min() > 0
+
+
+def test_ldlt_routines_match_scipy_lapack_bitwise():
+    # the directly loaded routines against scipy.linalg.lapack's, called
+    # the way factor calls them: in place on one column and on a
+    # Fortran-ordered matrix of 12
+    rng = np.random.default_rng(257)
+    n = 257
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    d = 2.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant: positive definite
+    ours, theirs = elliptic.dpttrf(d, e), lapack.dpttrf(d, e)
+    assert ours[2] == theirs[2] == 0
+    for a, b in zip(ours[:2], theirs[:2]):
+        assert a.tobytes() == b.tobytes()
+    for shape in [(n,), (n, 12)]:
+        rhs = np.asfortranarray(rng.standard_normal(shape))
+        b1, b2 = rhs.copy(order="F"), rhs.copy(order="F")
+        x1, info1 = elliptic.dpttrs(*ours[:2], b1, overwrite_b=True)
+        x2, info2 = lapack.dpttrs(*theirs[:2], b2, overwrite_b=True)
+        assert info1 == info2 == 0
+        assert x1 is b1 and x2 is b2  # solved in place
+        assert x1.tobytes() == x2.tobytes()
+
+
+def test_ldlt_routines_fall_back_to_scipy_linalg_lapack(monkeypatch):
+    # a direct load beside the imported scipy.linalg leaves its module in place
+    held = sys.modules["scipy.linalg._flapack"]
+    elliptic._ldlt_routines()
+    assert sys.modules["scipy.linalg._flapack"] is held
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise ImportError("no such extension")
+
+    monkeypatch.setattr(importlib.util, "spec_from_file_location", broken)
+    assert elliptic._ldlt_routines() == (lapack.dpttrf, lapack.dpttrs)
+    assert calls  # the direct load was tried, and failed
