@@ -20,24 +20,29 @@ and theta_mu is a fixed point of the step for every dt. Only the
 explicit chemotaxis and reactions can drive a density negative, which
 raises PositivityError.
 
+Auto dt departs from plain IMEX Euler where accuracy bounds the step
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4). A step whose cfl_dt
+bound b is below the error controller's proposal a (at first TOL) is
+one plain step of dt = b and keeps a, as Euler's local error only
+shrinks with dt. Any other step takes dt = a by step doubling: y1 from
+one step of dt, yh from two of dt/2, the second only if cfl_dt at the
+midpoint admits dt/2, which keeps auto dt nonnegative. If
+err = max|yh - y1| / (|yh| + ATOL) <= 2*TOL, it takes Richardson's
+second-order 2*yh - y1, or yh wherever that is negative, and proposes
+dt*min(2, 0.9*sqrt(TOL/err)) next. Else it is retried at dt/2, whose
+full step is the first half step. dt is rounded down to a power of
+2**(1/DT_RUNGS), so that steps of nearly equal dt share one factor.
+
 One kernel, run_batch, steps k runs at once. They share the grid, the
 initial data, V and the step controls, but each has its own lam, mu and
 c. Their state is one Fortran-ordered (2n, k) array, u rows above v
 rows, one column per run: the layout in which dpttrs solves in place.
 So a step evaluates the explicit terms once on (n, k) arrays, and all
 columns that share a dt share one factor and one solve. Time control is
-per column: each has its own t, dt, accuracy bound, step count and
-running minima, and leaves the batch when it reaches t_end or its step
-fails. One factor is kept per distinct dt of the current step. run is a
-batch of one, and step is one step of it.
-
-Auto dt takes the smaller of two bounds: cfl_dt, for the explicit
-terms, and an accuracy bound min(2*dt_prev, REL_CHANGE*dt_prev/r),
-where r is the previous step's largest relative change |dy|/(|y| + ATOL)
-of u or v. The first step's accuracy bound is REL_CHANGE, the step that
-changes a quantity decaying at unit rate by that fraction. dt is then
-rounded down to a power of 2**(1/DT_RUNGS), so that steps of nearly
-equal dt share one factor.
+per column: half steps run on the accuracy-bound columns only, and a
+column leaves the batch when it reaches t_end or its step fails. Each
+distinct dt has one factor, kept for the next step. run is a batch of
+one, and step is one plain step of it.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -45,7 +50,8 @@ positivity. On the tumor-boundary face the flux uses the boundary value
 mu*v/(1+v) of v_x, so the discrete mass balance of u telescopes exactly:
 with lam = 0 the change of the trapezoidal mass of u equals
 -dt * (boundary flux + quadratic absorption) summed over steps, to
-round-off. Audits rely on this.
+round-off. Audits rely on this. An extrapolated step's change is twice
+its half steps' terms less its full step's, unless it fell back to yh.
 """
 
 from __future__ import annotations
@@ -78,8 +84,8 @@ __all__ = [
 
 POSITIVITY_HARD_LIMIT = -1e-9  # beyond this a step is rejected outright
 RATE_FLOOR = 1e-30  # floor of the drift speed and reaction rate in cfl_dt
-REL_CHANGE = 0.01  # largest relative change of u or v per auto-dt step
-# absolute part of that change's scale; just above harness.FIT_FLOOR, so
+TOL = 1e-2  # error tolerance of an accuracy-bound auto-dt step, and its first dt
+# absolute part of the error's scale; just above harness.FIT_FLOOR, so
 # any v a decay fit can still use keeps steering dt
 ATOL = 1e-12
 # auto dt is rounded down to a power 2**(k/DT_RUNGS), so that steps of
@@ -324,6 +330,9 @@ class Trajectory:
     steps_taken: int = 0
     dt_min: float = np.inf  # smallest and largest dt of the steps taken
     dt_max: float = 0.0
+    steps_extrapolated: int = 0  # auto-dt steps by kind, and rejected attempts
+    steps_cfl_bound: int = 0
+    steps_rejected: int = 0
 
     @property
     def times(self) -> np.ndarray:
@@ -375,6 +384,18 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     return result
 
 
+def _take(y: np.ndarray, keep: list, m: int) -> np.ndarray:
+    """The columns keep of the m-column batch y, or y if that is all."""
+    return y if len(keep) == m else np.asfortranarray(y[:, keep])
+
+
+def _extrapolate(y1: np.ndarray, yh: np.ndarray) -> np.ndarray:
+    """Richardson's 2*yh - y1 of a full step y1 and two half steps yh,
+    but yh at every entry where that value would be negative."""
+    y = 2.0 * yh - y1
+    return np.where(y < 0.0, yh, y)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
               keep_states: bool = True) -> list:
@@ -416,45 +437,81 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     if k > 1:
         y, cols = np.tile(y, (k, 1)).T, _Columns.of(params)
     # Per column, in step with the columns of y: its run, time, dt range,
-    # running minima of u and v, and the accuracy bound on its next
-    # auto-dt step. The first bound assumes unit rates (v's decay rate):
-    # with u = 0, cfl_dt bounds nothing, and the run would otherwise
-    # reach t_end in one step. Every column has taken `steps` steps.
+    # running minima of u and v, and for auto dt its proposal (at first
+    # TOL: with u = 0 cfl_dt bounds nothing) and step kind counts. Every
+    # column has taken `steps` steps.
     live, t = list(range(k)), [0.0] * k
     dt_lo, dt_hi = [np.inf] * k, [0.0] * k
     lows = np.array([[u0.values.min()], [v0.values.min()]]).repeat(k, axis=1)
-    dt_accurate = [REL_CHANGE] * k
+    proposal, tally = [TOL] * k, [[0, 0, 0] for _ in range(k)]
     steps = 0
     t_end = ctrl.t_end
     slack = END_SLACK * t_end
-    factors: dict = {}
+    factors, fresh = {}, {}  # by dt, the factors of the previous step and of this one
+
+    def factored(dts):
+        out = {dt: fresh.get(dt) or factors.get(dt) or _step_factor(n, h, dt)
+               for dt in dict.fromkeys(dts)}
+        fresh.update(out)
+        return out
 
     def settle(j):
         traj = trajs[live[j]]
         traj.steps_taken, traj.dt_min, traj.dt_max = steps, dt_lo[j], dt_hi[j]
+        traj.steps_extrapolated, traj.steps_cfl_bound, traj.steps_rejected = tally[j]
         traj.min_u_overall, traj.min_v_overall = float(lows[0, j]), float(lows[1, j])
 
     while live:
+        m = len(live)
         if ctrl.dt is None:
             bound = np.reshape(cfl_dt(y[:n], y[n:], h, cols, ctrl.dt_safety), -1).tolist()
+            plain = [b < a for b, a in zip(bound, proposal)]
             dts = [2.0 ** (math.floor(DT_RUNGS * math.log2(min(b, a))) / DT_RUNGS)
-                   for b, a in zip(bound, dt_accurate)]
+                   for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
         else:
-            dts = [ctrl.dt] * len(live)
-            t_new = [(steps + 1) * ctrl.dt] * len(live)
+            dts = [ctrl.dt] * m
+            t_new = [(steps + 1) * ctrl.dt] * m
         for j, tj in enumerate(t_new):
             if tj >= t_end - slack:
                 if tj > t_end + slack:
                     dts[j] = t_end - t[j]
                 t_new[j] = t_end
-        factors = {dt: factors.get(dt) or _step_factor(n, h, dt) for dt in dict.fromkeys(dts)}
-        y_new, new_lows, errors = _advance(grid, cols, y, t, dts, factors)
-        if ctrl.dt is None:
-            # largest relative change |dy| / (|y| + ATOL) of u or v
-            r = np.reshape((np.abs(y_new - y) / (np.abs(y_new) + ATOL)).max(axis=0), -1).tolist()
-            dt_accurate = [2.0 * dt if 2.0 * q <= REL_CHANGE else REL_CHANGE * dt / q
-                           for dt, q in zip(dts, r)]
+        y_new, new_lows, errors = _advance(grid, cols, y, t, dts, factored(dts))
+        acc = [j for j, p in enumerate(plain) if not p] if ctrl.dt is None else []
+        while acc:
+            # two half steps, the second only from a midpoint cfl_dt admits;
+            # a rejected column retries at dt/2, whose full step is the first
+            ca = cols if len(acc) == m else cols.take(acc)
+            half = [dts[j] / 2 for j in acc]
+            ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc],
+                                          half, factored(half))
+            errors = {acc[i]: error for i, error in failed.items()} | errors
+            safe = np.reshape(cfl_dt(ym[:n], ym[n:], h, ca, ctrl.dt_safety), -1).tolist()
+            ok = [i for i, d in enumerate(half) if d <= safe[i]]
+            done, err, retry = [acc[i] for i in ok], {}, []
+            if ok:
+                cb, hb = ca if len(ok) == len(acc) else ca.take(ok), [half[i] for i in ok]
+                yh, _, failed = _advance(grid, cb, _take(ym, ok, len(acc)),
+                                         [t[j] + d for j, d in zip(done, hb)], hb, factored(hb))
+                errors = {done[i]: error for i, error in failed.items()} | errors
+                y1 = _take(y_new, done, m)
+                err = dict(zip(done, np.reshape(
+                    (np.abs(yh - y1) / (np.abs(yh) + ATOL)).max(axis=0), -1).tolist()))
+                x = _extrapolate(y1, yh)
+                y_new.reshape(2 * n, -1)[:, done] = x.reshape(2 * n, -1)
+                new_lows[:, done] = x.reshape((n, 2, -1), order="F").min(axis=0)
+            for i, j in enumerate(acc):
+                e = err.get(j, math.inf)  # inf: the midpoint check failed
+                if e <= 2.0 * TOL:
+                    proposal[j] = dts[j] * (min(2.0, 0.9 * math.sqrt(TOL / e)) if e else 2.0)
+                elif j not in errors:
+                    retry.append(i)
+                    tally[j][2] += 1
+                    dts[j], t_new[j] = half[i], t[j] + half[i]
+            acc = [acc[i] for i in retry]
+            y_new.reshape(2 * n, -1)[:, acc] = ym.reshape(2 * n, -1)[:, retry]
+            new_lows[:, acc] = lows_m[:, retry]
         for j, error in errors.items():
             settle(j)
             error.trajectory = trajs[live[j]]
@@ -462,6 +519,9 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
         y, t = y_new, t_new
         steps += 1
         dt_lo, dt_hi = list(map(min, dt_lo, dts)), list(map(max, dt_hi, dts))
+        if ctrl.dt is None:
+            for counts, p in zip(tally, plain):
+                counts[p] += 1  # extrapolated or cfl-bound
         np.minimum(lows, new_lows, out=lows)
         ended = [j for j, tj in enumerate(t) if tj == t_end and j not in errors]
         recorded = ended if steps % ctrl.output_every else range(len(live))
@@ -472,12 +532,13 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                                        keep=keep_states or t[j] == t_end)
         for j in ended:
             settle(j)
+        factors, fresh = fresh, {}
         if errors or ended:
             keep = [j for j in range(len(live)) if j not in errors and t[j] != t_end]
             if not keep:
                 break
-            live, t, dt_lo, dt_hi, dt_accurate = (
-                [a[j] for j in keep] for a in (live, t, dt_lo, dt_hi, dt_accurate))
+            live, t, dt_lo, dt_hi, proposal, tally = (
+                [a[j] for j in keep] for a in (live, t, dt_lo, dt_hi, proposal, tally))
             lows, y, cols = lows[:, keep], np.asfortranarray(y[:, keep]), cols.take(keep)
     return results
 

@@ -170,6 +170,9 @@ class RegimeReport:
     steps: int                   # time steps of the run and their dt range
     dt_min: float
     dt_max: float
+    steps_extrapolated: int      # auto dt: step kinds and rejections
+    steps_cfl_bound: int
+    steps_rejected: int
     fits: list = field(default_factory=list)
     mass: MassAudit | None = None
     positivity_ok: bool = True
@@ -206,6 +209,9 @@ class RegimeReport:
             "steps": self.steps,
             "dt_min": self.dt_min,
             "dt_max": self.dt_max,
+            "steps_extrapolated": self.steps_extrapolated,
+            "steps_cfl_bound": self.steps_cfl_bound,
+            "steps_rejected": self.steps_rejected,
             "fits": [f.to_json_dict() for f in self.fits],
             "mass_audit": self.mass.to_json_dict() if self.mass else None,
             "positivity_ok": self.positivity_ok,
@@ -327,6 +333,9 @@ def classify_regime(
         steps=traj.steps_taken,
         dt_min=traj.dt_min,
         dt_max=traj.dt_max,
+        steps_extrapolated=traj.steps_extrapolated,
+        steps_cfl_bound=traj.steps_cfl_bound,
+        steps_rejected=traj.steps_rejected,
         fits=fits,
         mass=mass,
         positivity_ok=positivity_ok,

@@ -263,6 +263,21 @@ def test_cli_classify_report(tmp_path):
     assert (tmp_path / "o" / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("dt", [0.01, "auto"])
+def test_cli_classify_reports_step_kinds(tmp_path, dt):
+    # fixed dt takes none of auto dt's extrapolated, cfl-bound or
+    # rejected steps; an auto-dt run's steps are extrapolated or cfl-bound
+    doc = _small_classify_doc(str(tmp_path / "o"))
+    doc["time"]["dt"] = dt
+    assert main(["classify", "--config", write_config(tmp_path, doc)]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    kinds = [report[f"steps_{kind}"] for kind in ("extrapolated", "cfl_bound", "rejected")]
+    if dt == "auto":
+        assert kinds[0] > 0 and kinds[0] + kinds[1] == report["steps"]
+    else:
+        assert kinds == [0, 0, 0] and report["steps"] == 800
+
+
 def test_cli_classify_solves_theta_once(tmp_path, monkeypatch):
     import angiosim.cli
     import angiosim.harness

@@ -112,32 +112,54 @@ def test_step_refuses_auto_dt(grid65):
 
 
 def test_auto_dt_first_step_from_zero_density_is_bounded(grid65):
-    # With u = 0 cfl_dt bounds nothing; the first step takes the accuracy
-    # bound's start value REL_CHANGE, rounded down onto the dt ladder.
+    # With u = 0 cfl_dt bounds nothing; the first step takes the
+    # controller's start value TOL, rounded down onto the dt ladder.
     p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     traj = run(const_field(grid65, 0.0), const_field(grid65, 0.5), p,
                StepControl(t_end=1.0, output_every=1))
-    rel, rungs = angiosim.dynamics.REL_CHANGE, angiosim.dynamics.DT_RUNGS
-    assert rel * 2.0 ** (-1.0 / rungs) < traj.times[1] <= rel
+    tol, rungs = angiosim.dynamics.TOL, angiosim.dynamics.DT_RUNGS
+    assert tol * 2.0 ** (-1.0 / rungs) < traj.times[1] <= tol
 
 
 def test_auto_dt_steps_share_factors(grid65, monkeypatch):
-    # auto dt lies on the ladder 2**(k/DT_RUNGS), and run factors once
-    # per change of dt, so steps on one rung share a factor
-    dts = []
-    original = angiosim.dynamics._step_factor
+    # auto dt lies on the ladder 2**(k/DT_RUNGS), and a step doubling's
+    # dt/2 lies 16 rungs lower; a factor serves the step after the one
+    # that built it, so no dt is factored in two consecutive steps. Only
+    # the last step, clipped at t_end, leaves the ladder.
+    log = []  # ("factor", dt), or ("advance", start time, the dts of its factors)
+    factor_of, advance = angiosim.dynamics._step_factor, angiosim.dynamics._advance
 
-    def counted(n, h, dt):
-        dts.append(dt)
-        return original(n, h, dt)
+    def counted_factor(n, h, dt):
+        log.append(("factor", dt))
+        return factor_of(n, h, dt)
 
-    monkeypatch.setattr(angiosim.dynamics, "_step_factor", counted)
+    def counted_advance(grid, cols, y, t, dts, factors):
+        log.append(("advance", t[0], set(factors)))
+        return advance(grid, cols, y, t, dts, factors)
+
+    monkeypatch.setattr(angiosim.dynamics, "_step_factor", counted_factor)
+    monkeypatch.setattr(angiosim.dynamics, "_advance", counted_advance)
     p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=saturating_power(2.0))
     traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
-               StepControl(t_end=5.0))
-    rungs = np.log2(dts[:-1]) * angiosim.dynamics.DT_RUNGS
-    np.testing.assert_allclose(rungs, np.round(rungs), rtol=0.0, atol=1e-9)
-    assert len(dts) < traj.steps_taken / 4
+               StepControl(t_end=5.0, output_every=1))
+    times = traj.times  # a step's substeps start in [its start, the next step's)
+    used, factored, pending = {}, [], []
+    for event in log:
+        if event[0] == "factor":
+            pending.append(event[1])
+        else:
+            k = int(np.searchsorted(times, event[1], side="right")) - 1
+            used.setdefault(k, set()).update(event[2])
+            factored += [(k, dt) for dt in pending]
+            pending = []
+    last = len(times) - 2
+    assert traj.steps_extrapolated > 0 and traj.steps_cfl_bound > 0
+    assert {k for k, _ in factored} <= set(range(last + 1))
+    for k, dt in factored:
+        assert dt not in used.get(k - 1, ())
+        if k < last:
+            rung = math.log2(dt) * angiosim.dynamics.DT_RUNGS
+            assert rung == pytest.approx(round(rung), abs=1e-9)
 
 
 def test_cfl_dt_halves_when_gradient_doubles(grid65):
@@ -157,6 +179,7 @@ def test_cfl_dt_reaction_cap_scales(grid65, zero_V):
 
 
 def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
+    # one bound per step, plus one midpoint check per step doubling
     calls = []
 
     def counted(*args, **kwargs):
@@ -167,8 +190,81 @@ def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
     p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=saturating_power(2.0))
     ctrl = StepControl(t_end=1.0, dt=None, output_every=7)
     traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p, ctrl)
-    assert traj.steps_taken > 1
-    assert len(calls) == traj.steps_taken
+    assert traj.steps_taken > 1 and traj.steps_extrapolated > 0
+    assert len(calls) == traj.steps_taken + traj.steps_extrapolated + traj.steps_rejected
+
+
+def test_rejected_steps_are_retried_and_counted(grid65, monkeypatch):
+    # At TOL = 1e-4 the controller's proposal overshoots on this run. A
+    # rejected step is retried at dt/2 from the same state, with its cfl
+    # bound kept, and only accepted steps are steps.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cfl_dt(*args, **kwargs)
+
+    monkeypatch.setattr(angiosim.dynamics, "TOL", 1e-4)
+    monkeypatch.setattr(angiosim.dynamics, "cfl_dt", counted)
+    p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
+               StepControl(t_end=3.0, output_every=1))
+    assert traj.steps_rejected >= 1
+    assert traj.steps_taken == traj.steps_extrapolated + traj.steps_cfl_bound
+    assert traj.steps_taken == len(traj.times) - 1 and traj.times[-1] == 3.0
+    assert len(calls) == traj.steps_taken + traj.steps_extrapolated + traj.steps_rejected
+    assert traj.series("min_u").min() >= 0.0 and traj.series("min_v").min() >= 0.0
+    assert traj.min_u_overall >= 0.0 and traj.min_v_overall >= 0.0
+
+
+def test_failed_midpoint_check_halves_the_step(grid65, monkeypatch):
+    # the second half step runs only if cfl_dt at the midpoint admits it;
+    # here the first midpoint check fails, so the first step is retried
+    # at half its dt
+    calls = []
+
+    def shrunk_at_first_midpoint(*args, **kwargs):
+        calls.append(1)
+        bound = cfl_dt(*args, **kwargs)
+        return bound * 1e-6 if len(calls) == 2 else bound
+
+    monkeypatch.setattr(angiosim.dynamics, "cfl_dt", shrunk_at_first_midpoint)
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
+               StepControl(t_end=0.1, output_every=1))
+    rungs = angiosim.dynamics.DT_RUNGS
+    first = 2.0 ** (math.floor(rungs * math.log2(angiosim.dynamics.TOL)) / rungs)
+    assert traj.steps_rejected == 1
+    assert traj.times[1] == first / 2
+    assert traj.min_u_overall >= 0.0 and traj.min_v_overall >= 0.0
+
+
+def test_negative_extrapolation_takes_the_half_steps(grid65, monkeypatch):
+    # u0 vanishes beyond x = 7h. Ahead of that front one implicit step of
+    # dt spreads more of u than two of dt/2, so 2*yh - y1 is negative
+    # there, and those entries, and only those, take yh.
+    seen = []
+    original = angiosim.dynamics._extrapolate
+
+    def spy(y1, yh):
+        y = original(y1, yh)
+        seen.append((y1.copy(), yh.copy(), y.copy()))
+        return y
+
+    monkeypatch.setattr(angiosim.dynamics, "_extrapolate", spy)
+    u0 = np.where(grid65.nodes < 7.5 * grid65.h, 1.0, 0.0)
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    traj = run(make_field(grid65, u0), const_field(grid65, 0.5), p,
+               StepControl(t_end=0.5))
+    negative = 0
+    for y1, yh, y in seen:
+        plain = 2.0 * yh - y1
+        below = plain < 0.0
+        negative += int(below.sum())
+        np.testing.assert_array_equal(y, np.where(below, yh, plain))
+        assert y.min() >= 0.0
+    assert negative > 0
+    assert traj.min_u_overall >= 0.0 and traj.min_v_overall >= 0.0
 
 
 @pytest.mark.parametrize("t_end, factors", [(1.0, 1), (1.05, 2)])
@@ -306,6 +402,23 @@ def test_theta_is_fixed_point_of_the_step(grid65, dt):
     traj = run(const_field(grid65, 0.0), theta, p, StepControl(t_end=5.0, dt=dt))
     assert traj.times[-1] == pytest.approx(5.0, abs=1e-12)
     assert np.abs(traj.final_state().v.values - theta.values).max() <= 1e-10
+
+
+def test_auto_dt_stays_on_theta(grid65):
+    # the full step and both half steps fix theta_mu, and so does their
+    # extrapolation; with u = 0 every step is accuracy-bound, and the
+    # error estimate is round-off, so dt doubles each step. Extrapolation
+    # scales the round-off by up to 3: 5.6e-13 here, 2.3e-13 over 2000
+    # fixed steps of 0.05.
+    theta = theta_mu(grid65, 1.2)
+    p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
+    traj = run(const_field(grid65, 0.0), theta, p, StepControl(t_end=100.0, output_every=1))
+    assert traj.times[-1] == 100.0
+    assert traj.steps_extrapolated == traj.steps_taken < 20
+    assert traj.steps_rejected == traj.steps_cfl_bound == 0
+    for state in traj.states:
+        assert np.all(state.u.values == 0.0)
+        assert np.abs(state.v.values - theta.values).max() <= 1e-12
 
 
 def test_snapshot_schedule_and_diagnostics(grid65):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from angiosim import dynamics
 from angiosim.dynamics import ModelParams, StepControl, run, run_batch
 from angiosim.errors import CannotFitError, PositivityError, SolverError
 from angiosim.grid import const_field, make_field, make_grid
@@ -255,6 +256,33 @@ def test_sweep_matches_solo_runs_bitwise(dt, lams, mus):
             assert traj.dt_min < dt == traj.dt_max  # the clipped last step
     if dt is None and len(params) > 1:
         assert len(steps) > 1  # cells end on different step counts
+
+
+def test_auto_dt_batch_with_mixed_steps_matches_solo_runs(monkeypatch):
+    # At TOL = 1e-4 the columns take different step kinds: the first and
+    # last reject a step, the middle one does not, and only the last takes
+    # plain cfl-bound steps. Each still takes exactly its solo path.
+    monkeypatch.setattr(dynamics, "TOL", 1e-4)
+    g = make_grid(1.0, 65)
+    ctrl = StepControl(t_end=2.0, output_every=4)
+    u0 = make_field(g, 0.5 + 0.1 * np.cos(np.pi * g.nodes))
+    v0 = const_field(g, 0.5)
+    base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    params = [replace(base, lam=lam, mu=mu)
+              for lam, mu in ((0.3, 0.8), (0.0, 0.5), (0.0, 2.0))]
+    counts = []
+    for p, traj in zip(params, run_batch(u0, v0, params, ctrl)):
+        solo = run(u0, v0, p, ctrl)
+        _assert_same_trajectory(traj, solo)
+        assert [s.t for s in traj.states] == [s.t for s in solo.states]
+        for state, want in zip(traj.states, solo.states):
+            assert np.array_equal(state.u.values, want.u.values)
+            assert np.array_equal(state.v.values, want.v.values)
+        counts.append((traj.steps_extrapolated, traj.steps_cfl_bound, traj.steps_rejected))
+        assert counts[-1] == (solo.steps_extrapolated, solo.steps_cfl_bound,
+                              solo.steps_rejected)
+    assert [c[2] > 0 for c in counts] == [True, False, True]
+    assert [c[1] > 0 for c in counts] == [False, False, True]
 
 
 @pytest.mark.parametrize("lams", [[0.0, 1e300], [0.0, -60.0, 1e300]])
