@@ -41,8 +41,9 @@ So a step evaluates the explicit terms once on (n, k) arrays, and all
 columns that share a dt share one factor and one solve. Time control is
 per column: half steps run on the accuracy-bound columns only, and a
 column leaves the batch when it reaches t_end or its step fails. Each
-distinct dt has one factor, kept for the next step. run is a batch of
-one, and step is one plain step of it.
+distinct dt has one factor, kept for the next step. One pass records
+the diagnostics of all columns due at a step. run is a batch of one,
+and step is one plain step of it.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -64,7 +65,7 @@ import numpy as np
 
 from .elliptic import banded_rows, factor
 from .errors import PositivityError, SolverError
-from .grid import Field, Grid1D, l2_norm, make_field, trapezoid
+from .grid import Field, Grid1D, l2_norm, make_field
 from .sensitivity import SensitivitySpec
 
 __all__ = [
@@ -194,11 +195,9 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
     """
     h = grid.h
     dv = v[1:] - v[:-1]
-    # the upwind u of every face, then the tumor node: one call of V
-    u_up = np.empty_like(u)
-    u_up[:-1] = u[1:]
-    np.copyto(u_up[:-1], u[:-1], where=dv > 0.0)
-    u_up[-1] = u[-1]
+    # upwind u of each face (v mostly rises, so few take u[i+1]), then the tumor node
+    u_up = np.copy(u, order="K")
+    np.copyto(u_up[:-1], u[1:], where=dv <= 0.0)
     vu = np.asarray(p.V.V(u_up))
     j = np.multiply(vu[:-1], dv, out=dv)  # the face fluxes, in place of dv
     j /= h
@@ -316,7 +315,12 @@ class Trajectory:
     """Snapshots plus per-snapshot diagnostics (the DIAG_COLUMNS series,
     each an array of doubles) of one simulation. A run_batch(...,
     keep_states=False) trajectory keeps every diagnostics row, but in
-    states only the final state of a run that reached t_end."""
+    states only the final state of a run that reached t_end.
+
+    One _record pass appends the rows of all columns due at a step, each
+    bitwise as grid.trapezoid and l2_norm give it. Only the tumor V(u_L)
+    is a scalar call per column: numpy's array power can differ in its last bit.
+    """
 
     grid: Grid1D
     params: ModelParams
@@ -345,31 +349,33 @@ class Trajectory:
     def final_state(self) -> SimState:
         return self.states[-1]
 
-    def _record(self, t: float, u: np.ndarray, v: np.ndarray, keep: bool):
-        """Append the diagnostics row of the state (t, u, v), and the
-        state itself if keep."""
-        p = self.params
-        h = self.grid.h
-        flux = float(boundary_flux_v(p, v[-1]))
-        row = (
-            t,
-            trapezoid(h, u),
-            trapezoid(h, v),
-            float(np.abs(u).max()),
-            float(np.abs(v).max()),
-            l2_norm(h, u),
-            l2_norm(h, v),
-            l2_norm(h, u - p.lam),
-            float(u.min()),
-            float(v.min()),
-            flux,
-            # integrand of the mass-balance boundary term: mu * V(u) v/(1+v)
-            float(np.asarray(p.V.V(u[-1]))) * flux,
-        )
+
+def _record(y: np.ndarray, cols: _Columns | ModelParams, trajs, times, keep: bool) -> None:
+    """Append to each of trajs the diagnostics row of its column of the
+    Fortran-ordered (2n, m) state y (parameters cols) at its time in
+    times, and the state itself if keep or it is at t_end. Axis-0 sums
+    add each column as grid.trapezoid adds it alone (see Trajectory)."""
+    grid = trajs[0].grid
+    n, h, t_end = grid.n, grid.h, trajs[0].ctrl.t_end
+    u, v = y[:n], y[n:]
+
+    def mass(w):
+        return h * (w.sum(axis=0) - 0.5 * (w[0] + w[-1]))
+
+    def l2(w):
+        return np.sqrt(np.maximum(mass(w * w), 0.0))
+
+    flux = boundary_flux_v(cols, v[-1])
+    rows = np.array((times, mass(u), mass(v), np.abs(u).max(axis=0), np.abs(v).max(axis=0),
+                     l2(u), l2(v), l2(u - cols.lam), u.min(axis=0), v.min(axis=0), flux))
+    for j, (traj, row, u_tumor) in enumerate(zip(trajs, rows.T.tolist(), u[-1].tolist())):
+        # integrand of the mass-balance boundary term: mu * V(u) v/(1+v)
+        row.append(float(np.asarray(cols.V.V(u_tumor))) * row[-1])
         for name, value in zip(DIAG_COLUMNS, row):
-            self.diagnostics[name].append(value)
-        if keep:
-            self.states.append(SimState(t, make_field(self.grid, u), make_field(self.grid, v)))
+            traj.diagnostics[name].append(value)
+        if keep or row[0] == t_end:
+            traj.states.append(SimState(row[0], make_field(grid, u[:, j]),
+                                        make_field(grid, v[:, j])))
 
 
 def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
@@ -423,10 +429,6 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
         raise ValueError("a batch needs at least one ModelParams")
     k, n, h = len(params), grid.n, grid.h
     trajs = [Trajectory(grid=grid, params=p, ctrl=ctrl) for p in params]
-    for traj in trajs:
-        traj._record(0.0, u0.values, v0.values, keep=False)
-        if keep_states:
-            traj.states.append(SimState(0.0, u0, v0))
     results: list = list(trajs)
     # The state: u rows above v rows, k copies as the columns of a
     # Fortran-ordered (2n, k) array. A batch of one drops the column
@@ -436,6 +438,10 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     cols = params[0]
     if k > 1:
         y, cols = np.tile(y, (k, 1)).T, _Columns.of(params)
+    _record(y.reshape(2 * n, -1), cols, trajs, [0.0] * k, keep=False)
+    if keep_states:
+        for traj in trajs:
+            traj.states.append(SimState(0.0, u0, v0))
     # Per column, in step with the columns of y: its run, time, dt range,
     # running minima of u and v, and for auto dt its proposal (at first
     # TOL: with u = 0 cfl_dt bounds nothing) and step kind counts. Every
@@ -524,12 +530,12 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                 counts[p] += 1  # extrapolated or cfl-bound
         np.minimum(lows, new_lows, out=lows)
         ended = [j for j, tj in enumerate(t) if tj == t_end and j not in errors]
-        recorded = ended if steps % ctrl.output_every else range(len(live))
-        columns = y.reshape(2 * n, -1)
-        for j in recorded:
-            if j not in errors:
-                trajs[live[j]]._record(t[j], columns[:n, j], columns[n:, j],
-                                       keep=keep_states or t[j] == t_end)
+        recorded = [j for j in (ended if steps % ctrl.output_every else range(len(live)))
+                    if j not in errors]
+        if recorded:
+            _record(_take(y.reshape(2 * n, -1), recorded, m),
+                    cols if len(recorded) == m else cols.take(recorded),
+                    [trajs[live[j]] for j in recorded], [t[j] for j in recorded], keep_states)
         for j in ended:
             settle(j)
         factors, fresh = fresh, {}
@@ -571,13 +577,6 @@ def write_diagnostics_csv(traj: Trajectory, fh, theta: Field | None = None) -> N
     theta_vals = theta.values if theta is not None else 0.0
     h = traj.grid.h
     for i, state in enumerate(traj.states):
-        row = (
-            d["t"][i],
-            d["mass_u"][i],
-            d["mass_v"][i],
-            d["linf_u"][i],
-            d["linf_v"][i],
-            l2_norm(h, state.v.values - theta_vals),
-            d["boundary_flux_v"][i],
-        )
+        row = [d[name][i] for name in ("t", "mass_u", "mass_v", "linf_u", "linf_v")]
+        row += [l2_norm(h, state.v.values - theta_vals), d["boundary_flux_v"][i]]
         fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -90,13 +90,7 @@ def fit_decay(times, values, window: tuple[float, float],
     ss_res = float(np.sum((logv - pred) ** 2))
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(
-        rate=float(-slope),
-        window=(float(t0), float(t1)),
-        r_squared=r2,
-        quantity=quantity,
-        n_samples=int(usable.sum()),
-    )
+    return DecayFit(float(-slope), (float(t0), float(t1)), r2, quantity, int(usable.sum()))
 
 
 @dataclass(frozen=True)
@@ -135,9 +129,7 @@ def mass_audit(traj: Trajectory, tau: float = 1.0) -> MassAudit:
     absorption_term = float(np.trapezoid(u2, tt))
     mass_change = float(mass[i0] - mass[-1])
     residual = abs(boundary_term + absorption_term - mass_change)
-    scale = float(
-        max(abs(mass[i0]), abs(mass[-1]), boundary_term, absorption_term, 1e-300)
-    )
+    scale = float(max(abs(mass[i0]), abs(mass[-1]), boundary_term, absorption_term, 1e-300))
     return MassAudit(
         residual=residual,
         boundary_term=boundary_term,

@@ -5,11 +5,14 @@ import pytest
 
 import angiosim.dynamics
 from angiosim.dynamics import (
+    DIAG_COLUMNS,
     ModelParams,
     SimState,
     StepControl,
     Trajectory,
+    boundary_flux_v,
     cfl_dt,
+    chemotaxis_divergence,
     run,
     run_batch,
     step,
@@ -18,9 +21,9 @@ from angiosim.dynamics import (
 )
 from angiosim.elliptic import banded_rows, factor
 from angiosim.errors import PositivityError, SolverError
-from angiosim.grid import const_field, make_field, make_grid
+from angiosim.grid import const_field, l2_norm, make_field, make_grid, trapezoid
 from angiosim.harness import fit_decay
-from angiosim.sensitivity import saturating_power
+from angiosim.sensitivity import SensitivitySpec, saturating_power
 from angiosim.steady import theta_mu
 
 
@@ -572,3 +575,79 @@ def test_trajectory_csv_bytes_match_reference(tmp_path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_trajectory_csv(traj, fh)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_chemotaxis_divergence_upwinds_ties_to_the_right():
+    # a face takes u[i] where v rises across it and u[i+1] otherwise,
+    # ties (dv == 0) included; the tumor node takes u[-1]
+    seen = []
+
+    def spy(s):
+        seen.append(np.array(s))
+        return np.asarray(s, dtype=float)
+
+    g = make_grid(1.0, 9)
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=SensitivitySpec("spy", spy, spy))
+    u = np.arange(1.0, 10.0)
+    v = np.array([0.0, 1.0, 1.0, 0.5, 0.5, 2.0, 2.0, 2.0, 3.0])  # up tie down tie up tie tie up
+    chemotaxis_divergence(g, u, v, p)
+    assert seen[0].tolist() == [1.0, 3.0, 4.0, 5.0, 5.0, 7.0, 8.0, 8.0, 9.0]
+
+
+def test_chemotaxis_divergence_of_a_batch_is_per_column(grid65):
+    n = grid65.n
+    V = saturating_power(2.0)
+    params = [ModelParams(lam=lam, mu=mu, c=1.0, V=V)
+              for lam, mu in ((0.0, 0.3), (0.5, 1.2), (1.0, 0.8))]
+    y = np.asfortranarray(np.random.default_rng(2).random((2 * n, 3)))
+    y[n + 10:n + 20] = 0.25  # tied faces
+    batch = chemotaxis_divergence(grid65, y[:n], y[n:], angiosim.dynamics._Columns.of(params))
+    for j, p in enumerate(params):
+        alone = chemotaxis_divergence(grid65, y[:n, j].copy(), y[n:, j].copy(), p)
+        assert batch[:, j].tobytes() == alone.tobytes()
+
+
+def test_chemotaxis_divergence_telescopes_to_the_tumor_flux(grid65):
+    # the trapezoid-weighted sum of the divergence leaves only the tumor
+    # face term V(u_L)*mu*v_L/(1+v_L): the discrete mass balance of u
+    rng = np.random.default_rng(3)
+    u, v = rng.random(grid65.n), rng.random(grid65.n)
+    p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
+    terms = grid65.quadrature_weights() * chemotaxis_divergence(grid65, u, v, p)
+    tumor = float(p.V.V(u[-1])) * p.mu * v[-1] / (1.0 + v[-1])
+    assert terms.sum() == pytest.approx(tumor, rel=0.0, abs=1e-14 * np.abs(terms).sum())
+
+
+def _reference_row(p: ModelParams, state: SimState) -> list:
+    h, u, v = state.u.grid.h, state.u.values, state.v.values
+    flux = float(boundary_flux_v(p, v[-1]))
+    return [state.t, trapezoid(h, u), trapezoid(h, v), float(np.abs(u).max()),
+            float(np.abs(v).max()), l2_norm(h, u), l2_norm(h, v), l2_norm(h, u - p.lam),
+            float(u.min()), float(v.min()), flux, float(p.V.V(u[-1])) * flux]
+
+
+def test_batched_record_matches_per_column_reference(grid65):
+    # every diagnostics value of a batch, and of a batch of one, equals
+    # its per-column reference bit for bit. u0's tumor value is one where
+    # numpy's array V rounds differently from the scalar V, at the array
+    # lengths of both batches, where the host's numpy has such a value.
+    V = saturating_power(2.0)
+    xs = np.random.default_rng(1).random(5000) * 2.0
+    differ = [x for x in xs
+              if float(V.V(x)) not in (V.V(np.array([x]))[0], V.V(np.full(3, x))[0])]
+    u0 = 0.5 + 0.1 * np.cos(np.pi * grid65.nodes)
+    u0[-1] = differ[0] if differ else u0[-1]
+    params = [ModelParams(lam=lam, mu=mu, c=1.0, V=V)
+              for lam, mu in ((0.0, 0.3), (0.5, 1.2), (1.0, 0.8))]
+    # auto dt: the columns reach t_end at different steps, so some rows
+    # are recorded off the output_every schedule, for a subset of columns
+    ctrl = StepControl(t_end=0.5, output_every=3)
+    f0, v0 = make_field(grid65, u0), const_field(grid65, 0.5)
+    trajs = run_batch(f0, v0, params, ctrl) + [run(f0, v0, params[1], ctrl)]
+    assert len({traj.steps_taken for traj in trajs}) > 1
+    for traj in trajs:
+        assert traj.states[0].u.values[-1] == u0[-1]
+        assert len(traj.states) == len(traj.times) > 2
+        for i, state in enumerate(traj.states):
+            row = [traj.diagnostics[name][i] for name in DIAG_COLUMNS]
+            assert list(map(float.hex, row)) == list(map(float.hex, _reference_row(traj.params, state)))
