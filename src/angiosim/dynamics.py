@@ -390,6 +390,16 @@ def run(u0: Field, v0: Field, p: ModelParams, ctrl: StepControl) -> Trajectory:
     return result
 
 
+def _rung(x: float) -> float:
+    """The largest ladder dt 2**(k/DT_RUNGS) <= x; a rounded log2 can be a rung off."""
+    k = math.floor(DT_RUNGS * math.log2(x))
+    if 2.0 ** ((k + 1) / DT_RUNGS) <= x:
+        k += 1
+    elif 2.0 ** (k / DT_RUNGS) > x:
+        k -= 1
+    return 2.0 ** (k / DT_RUNGS)
+
+
 def _take(y: np.ndarray, keep: list, m: int) -> np.ndarray:
     """The columns keep of the m-column batch y, or y if that is all."""
     return y if len(keep) == m else np.asfortranarray(y[:, keep])
@@ -472,8 +482,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
         if ctrl.dt is None:
             bound = np.reshape(cfl_dt(y[:n], y[n:], h, cols, ctrl.dt_safety), -1).tolist()
             plain = [b < a for b, a in zip(bound, proposal)]
-            dts = [2.0 ** (math.floor(DT_RUNGS * math.log2(min(b, a))) / DT_RUNGS)
-                   for b, a in zip(bound, proposal)]
+            dts = [_rung(min(b, a)) for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
         else:
             dts = [ctrl.dt] * m

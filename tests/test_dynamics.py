@@ -165,6 +165,17 @@ def test_auto_dt_steps_share_factors(grid65, monkeypatch):
             assert rung == pytest.approx(round(rung), abs=1e-9)
 
 
+def test_dt_ladder_rounds_down_to_the_nearest_rung():
+    # the floor of DT_RUNGS*log2(x) alone maps 19 of these rungs one rung
+    # low, so an exact doubling of a ladder dt fell short of its rung
+    rungs, rung = angiosim.dynamics.DT_RUNGS, angiosim.dynamics._rung
+    for k in range(-400, 100):
+        x = 2.0 ** (k / rungs)
+        assert rung(x) == x
+        assert rung(2.0 * x) == 2.0 ** ((k + rungs) / rungs)
+        assert rung(math.nextafter(x, 0.0)) == 2.0 ** ((k - 1) / rungs)
+
+
 def test_cfl_dt_halves_when_gradient_doubles(grid65):
     p = ModelParams(lam=0.0, mu=0.0, c=1.0, V=saturating_power(2.0))
     u = np.full(grid65.n, 0.5)
