@@ -13,13 +13,13 @@ from .grid import Field, Grid1D, const_field, make_field, make_grid, norm
 from .harness import DecayFit, RegimeReport, classify_regime, fit_decay, mass_audit, sweep
 from .sensitivity import SensitivitySpec, linear_saturating, saturating_power, truncated_linear
 from .spectral import EigenResult, alpha_of_mu, compute_mu1, principal_eigen
-from .steady import theta_closed_form, theta_mu
+from .steady import theta_mu
 
 __all__ = [
     "__version__",
     "Field", "Grid1D", "make_grid", "make_field", "const_field", "norm",
     "EigenResult", "principal_eigen", "alpha_of_mu", "compute_mu1",
-    "theta_mu", "theta_closed_form",
+    "theta_mu",
     "SensitivitySpec", "saturating_power", "linear_saturating", "truncated_linear",
     "ModelParams", "SimState", "StepControl", "Trajectory", "cfl_dt", "step", "run",
     "DecayFit", "RegimeReport", "fit_decay", "mass_audit", "classify_regime", "sweep",

@@ -15,10 +15,11 @@ are joined by one zero off-diagonal entry into a single 2n system, so a
 step is one LDL^T solve. The chemotactic divergence, the logistic term,
 -c*u*v and the tumor flux of v are explicit; the flux enters v's
 tumor-end row as the source (2*dt/h)*mu*v/(1+v) in [0, 2*dt*mu/h]. So
-the matrix depends only on (n, h, dt) and is an M-matrix for every dt,
-and theta_mu is a fixed point of the step for every dt. Only the
-explicit chemotaxis and reactions can drive a density negative, which
-raises PositivityError.
+the matrix depends only on (n, h, dt) and is an M-matrix for every dt.
+A steady v with u = 0 solves the banded_rows rows with this flux, and
+steady.theta_mu solves those exactly, so theta_mu is a fixed point of
+the step for every dt. Only the explicit chemotaxis and reactions can
+drive a density negative, which raises PositivityError.
 
 Auto dt departs from plain IMEX Euler where accuracy bounds the step
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4). A step whose cfl_dt

@@ -18,28 +18,7 @@ class SolverError(RuntimeError):
 
 
 class SpectralShiftError(SolverError):
-    """Matrix is not positive definite, or a solve produced non-finite values.
-
-    Signals the caller (inverse iteration) to move its spectral shift
-    and retry.
-    """
-
-
-class NonConvergenceError(SolverError):
-    """Iteration budget exhausted; carries the last residual norm."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class SingularJacobianError(SolverError):
-    """Newton Jacobian could not be factorized."""
-
-
-class EigenPositivityError(SolverError):
-    """Computed principal eigenfunction has a negative entry beyond
-    round-off; indicates a discretization bug, not a tuning problem."""
+    """elliptic.factor refused a matrix that is not positive definite."""
 
 
 class PositivityError(SolverError):
@@ -56,10 +35,6 @@ class PositivityError(SolverError):
 class BelowThresholdError(SolverError):
     """No positive steady profile exists for the requested flux strength
     (it is at or below the threshold); distinct from a solver failure."""
-
-
-class ThresholdSearchError(SolverError):
-    """Root bracketing for the flux threshold failed."""
 
 
 class SensitivityHypothesisError(SolverError):

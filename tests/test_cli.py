@@ -131,9 +131,22 @@ def test_cli_eigen_table(tmp_path):
     assert float(rows[1][1]) == pytest.approx(0.4045, abs=1e-3)
 
 
+def test_cli_eigen_negative_mu(tmp_path):
+    # an absorbing tumor end, mu < 0, has a cosine eigenfunction: alpha > 1,
+    # and alpha = 1 + k^2 with k*tan(k) = 0.5 on L = 1 gives about 1.4268
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 129},
+        "io": {"outdir": str(tmp_path / "o")},
+        "experiment": {"mu_values": [-0.5]},
+    })
+    assert main(["eigen", "--config", cfg]) == 0
+    lines = (tmp_path / "o" / "alpha_table.csv").read_text().splitlines()
+    assert float(lines[1].split(",")[1]) == pytest.approx(1.4268, abs=1e-3)
+
+
 def test_cli_eigen_and_mu1_far_below_first_shift(tmp_path, capsys):
-    # alpha(3) ~ -8.1 on L=1 and alpha(1) ~ -9.3 on L=0.1 (the upper end
-    # of mu1's first bracket) lie below the inverse iteration's first shifts
+    # alpha(3) ~ -8.1 on L=1, and mu1 on the short domain L=0.1, where
+    # alpha(1) ~ -9.3
     cfg = write_config(tmp_path, {
         "grid": {"n": 129},
         "io": {"outdir": str(tmp_path / "o")},

@@ -410,7 +410,8 @@ def test_tiny_attractant_large_flux_stays_nonnegative(n, mu, dt, t_end):
 @pytest.mark.parametrize("dt", [0.05, 1.0])
 def test_theta_is_fixed_point_of_the_step(grid65, dt):
     # The boundary source (2*dt/h)*mu*v/(1+v) makes the step's fixed point
-    # the discrete steady profile that flux_residual defines, for any dt.
+    # the discrete steady profile of the banded_rows operator with the
+    # nonlinear tumor row, which theta_mu solves exactly, for any dt.
     theta = theta_mu(grid65, 1.2)
     p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
     traj = run(const_field(grid65, 0.0), theta, p, StepControl(t_end=5.0, dt=dt))

@@ -158,8 +158,8 @@ def test_sweep_solves_per_mu_work_once(monkeypatch):
     g = make_grid(1.0, 37)
     spectral.alpha_of_mu.cache_clear()
     steady.theta_mu.cache_clear()
-    spectral.compute_mu1(g)  # the threshold search is not per-mu work
-    eigen_solves, newton_solves = [], []
+    spectral.compute_mu1(g)  # the threshold is not per-mu work
+    beta_roots, theta_profiles = [], []
 
     def count(calls, fn):
         def counted(*args, **kwargs):
@@ -167,16 +167,15 @@ def test_sweep_solves_per_mu_work_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(spectral, "principal_eigen", count(eigen_solves, spectral.principal_eigen))
-    monkeypatch.setattr(steady, "solve_nonlinear_bvp",
-                        count(newton_solves, steady.solve_nonlinear_bvp))
+    monkeypatch.setattr(spectral, "_beta", count(beta_roots, spectral._beta))
+    monkeypatch.setattr(steady, "cosh_profile", count(theta_profiles, steady.cosh_profile))
     base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     ctrl = StepControl(t_end=1.0, dt=0.05, output_every=2)
     u0 = const_field(g, 0.5)
     rows, _ = sweep(g, base, ctrl, u0, u0, [0.0, 0.5, 1.0], [0.3, 1.1])
     assert len(rows) == 6
-    assert len(eigen_solves) == 2  # one alpha per distinct mu
-    assert len(newton_solves) == 1  # theta only above mu1
+    assert len(beta_roots) == 2  # one alpha per distinct mu
+    assert len(theta_profiles) == 1  # theta only above mu1
 
 
 def test_sweep_records_cell_failures():

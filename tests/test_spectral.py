@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-import angiosim.spectral as spectral
-from angiosim.errors import SpectralShiftError, ThresholdSearchError
-from angiosim.grid import const_field, make_grid
+from scipy.linalg import eigh_tridiagonal
+
+from angiosim.elliptic import banded_rows
+from angiosim.grid import const_field, make_field, make_grid
 from angiosim.spectral import alpha_of_mu, compute_mu1, principal_eigen
 
 
@@ -56,36 +57,41 @@ def test_eigen_result_invariants(grid257):
         assert res.residual <= 1e-8
 
 
-@pytest.mark.parametrize("mu, shifts", [(0.5, 1), (2.0, 3), (2.8, 4)])
-def test_principal_eigen_factors_once_per_shift(grid65, monkeypatch, mu, shifts):
-    # the shifts tried are -1, -2, -4, -8: alpha(2) ~ -3.27 is first
-    # undercut by -4, alpha(2.8) ~ -6.95 by -8
-    calls, refused = [], []
-    original = spectral.factor
-
-    def counted(op):
-        calls.append(1)
-        try:
-            return original(op)
-        except SpectralShiftError:
-            refused.append(1)
-            raise
-
-    monkeypatch.setattr(spectral, "factor", counted)
-    res = principal_eigen(grid65, const_field(grid65, 1.0), mu)
-    assert res.eigenvalue == pytest.approx(exact_alpha(mu), abs=1e-2)
-    assert res.iterations > 1
-    assert len(calls) == shifts
-    assert len(refused) == shifts - 1
-
-
 @pytest.mark.parametrize("mu", [2.8, 5.0, 10.0])
 def test_principal_eigen_far_below_first_shift(grid1025, mu):
-    # alpha(2.8) ~ -6.95 and alpha(10) ~ -99 lie far below the first
-    # shift -1; the shift must still get below them
+    # alpha(2.8) ~ -6.95 and alpha(10) ~ -99 lie far below zero, where
+    # the eigenfunction is a steep cosh
     res = principal_eigen(grid1025, const_field(grid1025, 1.0), mu)
     assert res.eigenvalue == pytest.approx(exact_alpha(mu), rel=1e-4)
     assert res.eigenfunction.values.min() > 0.0
+
+
+def tridiagonal_alpha(grid, mu):
+    """Independent oracle: LAPACK's bisection for the lowest eigenvalue of
+    W^(1/2) A W^(-1/2), the symmetric similarity transform of the unit
+    potential operator with dw/dn = mu*w."""
+    d, e = banded_rows(grid.n, grid.h, 1.0 / (grid.h * grid.h), 1.0, -mu)
+    w = np.ones(grid.n)
+    w[[0, -1]] = 0.5
+    return eigh_tridiagonal(d / w, e / np.sqrt(w[:-1] * w[1:]),
+                            eigvals_only=True, select="i", select_range=(0, 0))[0]
+
+
+@pytest.mark.parametrize("n, mu", [
+    *((n, mu) for n in (65, 257, 8193) for mu in (-0.5, 0.0, 0.5, 1.2, 3.0, 50.0)),
+    (8193, 1000.0),  # cosh(N*kappa) alone would overflow here
+])
+def test_alpha_against_tridiagonal_eigensolver(n, mu):
+    # the oracle's error is about eps times the operator norm 4/h^2
+    grid = make_grid(1.0, n)
+    scale = np.finfo(float).eps * 4.0 / (grid.h * grid.h)
+    assert abs(alpha_of_mu(grid, mu) - tridiagonal_alpha(grid, mu)) <= scale
+
+
+def test_principal_eigen_rejects_nonconstant_potential(grid65):
+    a = make_field(grid65, 1.0 + 0.5 * np.sin(2 * np.pi * grid65.nodes))
+    with pytest.raises(ValueError, match="constant potential"):
+        principal_eigen(grid65, a, 0.0)
 
 
 def test_eigen_deterministic(grid257):
@@ -94,18 +100,6 @@ def test_eigen_deterministic(grid257):
     r2 = principal_eigen(grid257, a, 0.7)
     assert r1.eigenvalue == r2.eigenvalue
     assert np.array_equal(r1.eigenfunction.values, r2.eigenfunction.values)
-
-
-def test_nonconstant_potential_rayleigh_bound(grid257):
-    # principal eigenvalue lies between min(a) and max(a) for pure Neumann
-    a = const_field(grid257, 0.0).values + 1.0 + 0.5 * np.sin(
-        2 * np.pi * grid257.nodes
-    )
-    from angiosim.grid import make_field
-
-    res = principal_eigen(grid257, make_field(grid257, a), 0.0)
-    assert a.min() - 1e-10 <= res.eigenvalue <= a.max() + 1e-10
-    assert res.eigenfunction.values.min() > 0.0
 
 
 def test_alpha_of_mu_values(grid1025):
@@ -125,7 +119,7 @@ def test_alpha_strictly_decreasing(grid257):
 def test_compute_mu1_unit_interval(grid257):
     mu1 = compute_mu1(grid257)
     assert mu1 == pytest.approx(math.tanh(1.0), abs=1e-4)
-    # cached per (L, n, tol): an equal grid returns the identical float
+    # cached per (L, n): an equal grid returns the identical float
     assert compute_mu1(make_grid(1.0, 257)) is mu1
 
 
@@ -145,17 +139,6 @@ def test_compute_mu1_refinement():
     fine = abs(compute_mu1(make_grid(1.0, 257)) - math.tanh(1.0))
     assert coarse > fine
     assert coarse / fine > 8.0  # second order would give ~16
-
-
-def test_threshold_search_error_paths(grid65, monkeypatch):
-    # bypass the per-grid cache so the search runs on the patched map
-    search = compute_mu1.__wrapped__
-    monkeypatch.setattr(spectral, "alpha_of_mu", lambda g, mu: -1.0)
-    with pytest.raises(ThresholdSearchError):
-        search(grid65)
-    monkeypatch.setattr(spectral, "alpha_of_mu", lambda g, mu: 1.0)
-    with pytest.raises(ThresholdSearchError):
-        search(grid65)
 
 
 def test_equal_grids_share_cache_entries():

@@ -6,12 +6,33 @@ import pytest
 from angiosim.errors import BelowThresholdError
 from angiosim.grid import make_grid
 from angiosim.spectral import compute_mu1
-from angiosim.steady import theta_closed_form, theta_mu
+from angiosim.steady import theta_mu
 
 
 def closed_form(grid, mu):
     amp = mu / math.tanh(grid.L) - 1.0
     return amp * np.cosh(grid.nodes) / math.cosh(grid.L)
+
+
+def steady_residual(grid, mu, theta):
+    """-theta'' + theta with a mirror row at the vessel end and the
+    nonlinear flux dtheta/dn = mu*theta/(1+theta) at the tumor end, from
+    the stencil with ghost nodes, second differences of neighbors first."""
+    flux = mu * theta[-1] / (1.0 + theta[-1])
+    ghost = np.concatenate(([theta[1]], theta, [theta[-2] + 2.0 * grid.h * flux]))
+    return ((theta - ghost[:-2]) + (theta - ghost[2:])) / (grid.h * grid.h) + theta
+
+
+@pytest.mark.parametrize("n", [65, 257, 1025, 8193])
+@pytest.mark.parametrize("mu", [0.77, 1.2, 3.0])
+def test_theta_mu_solves_the_discrete_rows(n, mu):
+    # interior rows, the vessel row and the nonlinear tumor row all hold
+    # to the round-off of second differences: entries rounded by about
+    # 2 ulp give up to 4*(2*eps*|theta|)/h^2; the worst case here is 0.46 of it
+    g = make_grid(1.0, n)
+    theta = theta_mu(g, mu).values
+    scale = 8.0 * np.finfo(float).eps * np.abs(theta).max() / (g.h * g.h)
+    assert np.abs(steady_residual(g, mu, theta)).max() <= scale
 
 
 def test_theta_mu_matches_closed_form_mu1(grid1025):
@@ -60,8 +81,3 @@ def test_theta_profile_increasing_with_max_at_tumor_boundary(grid257):
     theta = theta_mu(grid257, 1.2).values
     assert np.all(np.diff(theta) > 0)
     assert theta.max() == theta[-1]
-
-
-def test_closed_form_helper_negative_below_threshold(grid65):
-    assert theta_closed_form(grid65, 0.5).values.max() < 0.0
-    assert theta_closed_form(grid65, 1.0).values.min() > 0.0
