@@ -66,6 +66,8 @@ def _beta(grid: Grid1D, mu: float) -> float:
     For mu >= 0 it lies in [0, 2*mu/h], as _flux(beta) >= h*beta/2. For
     mu < 0 it lies above the discrete Dirichlet limit N*theta = pi/2.
     """
+    if not math.isfinite(mu):
+        raise ValueError(f"Robin coefficient mu must be finite, got {mu}")
     if mu >= 0.0:
         lo, hi = 0.0, 2.0 * mu / grid.h
     else:

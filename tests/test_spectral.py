@@ -94,6 +94,14 @@ def test_principal_eigen_rejects_nonconstant_potential(grid65):
         principal_eigen(grid65, a, 0.0)
 
 
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+def test_nonfinite_mu_is_rejected(grid65, mu):
+    with pytest.raises(ValueError, match="finite"):
+        alpha_of_mu(grid65, mu)
+    with pytest.raises(ValueError, match="finite"):
+        principal_eigen(grid65, const_field(grid65, 1.0), mu)
+
+
 def test_eigen_deterministic(grid257):
     a = const_field(grid257, 1.0)
     r1 = principal_eigen(grid257, a, 0.7)
