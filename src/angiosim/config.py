@@ -46,7 +46,6 @@ class RunConfig:
     dt: float | None = None  # None = auto dt
     t_end: float = 40.0
     output_every: int = 10
-    dt_safety: float = 0.4
     u0: float = 0.5
     v0: float = 0.5
     perturb_amplitude: float = 0.0
@@ -68,12 +67,7 @@ class RunConfig:
         return ModelParams(lam=self.lam, mu=self.mu, c=self.c, V=self.sensitivity())
 
     def control(self) -> StepControl:
-        return StepControl(
-            t_end=self.t_end,
-            dt=self.dt,
-            output_every=self.output_every,
-            dt_safety=self.dt_safety,
-        )
+        return StepControl(t_end=self.t_end, dt=self.dt, output_every=self.output_every)
 
     def initial_data(self, grid: Grid1D) -> tuple[Field, Field]:
         """Constant positive profiles; the optional perturbation adds a
@@ -199,7 +193,6 @@ _SCHEMA = {
         "dt": ("dt", lambda where, value: None if value == "auto" else _POSITIVE(where, value)),
         "t_end": ("t_end", _POSITIVE),
         "output_every": ("output_every", _integer(1)),
-        "dt_safety": ("dt_safety", _number(minimum=0, maximum=1, strict_min=True)),
     },
     "initial": {
         "u0": ("u0", _NONNEGATIVE),

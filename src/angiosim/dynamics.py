@@ -94,9 +94,10 @@ ATOL = 1e-12
 # nearly equal dt share one factor
 DT_RUNGS = 16
 END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
+DT_SAFETY = 0.4  # the share of cfl_dt's raw bound that a step may take
 
 DIAG_COLUMNS = (
-    "t", "mass_u", "mass_v", "linf_u", "linf_v", "l2_u", "l2_v",
+    "t", "mass_u", "mass_v", "linf_u", "linf_v", "l2_u",
     "l2_u_minus_lam", "min_u", "min_v", "boundary_flux_v", "chem_boundary_flux",
 )
 
@@ -165,15 +166,12 @@ class StepControl:
     t_end: float
     dt: float | None = None
     output_every: int = 10
-    dt_safety: float = 0.4
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0 < self.dt_safety <= 1:
-            raise ValueError(f"dt_safety must lie in (0, 1], got {self.dt_safety}")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
 
@@ -210,9 +208,8 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
     return div
 
 
-def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
-           dt_safety: float = 0.4):
-    """Largest safe step for the explicit terms, times dt_safety; one per
+def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams):
+    """Largest safe step for the explicit terms, times DT_SAFETY; one per
     column when u and v are (n, k) and p holds a batch's parameters.
 
     The advective candidate is h over the largest face drift speed
@@ -220,7 +217,7 @@ def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
     value); the reaction cap is 0.5 / max(|lam| + 2*max u, c*max u),
     covering the explicit lam*u - u^2 and -c*u*v. The decay -v is
     implicit and caps nothing. Both rates are floored at RATE_FLOOR. A
-    safety factor <= 0.5 makes the upwind update provably
+    DT_SAFETY <= 0.5 makes the upwind update provably
     nonnegativity-preserving (boundary cells are half-width, doubling
     their drain rate).
     """
@@ -230,7 +227,7 @@ def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams,
     advective = h / np.maximum(drift, RATE_FLOOR)
     linf_u = np.abs(u).max(axis=0)
     rate = np.maximum(np.maximum(np.abs(p.lam) + 2.0 * linf_u, p.c * linf_u), RATE_FLOOR)
-    return dt_safety * np.minimum(advective, 0.5 / rate)
+    return DT_SAFETY * np.minimum(advective, 0.5 / rate)
 
 
 def _step_factor(n: int, h: float, dt: float):
@@ -368,7 +365,7 @@ def _record(y: np.ndarray, cols: _Columns | ModelParams, trajs, times, keep: boo
 
     flux = boundary_flux_v(cols, v[-1])
     rows = np.array((times, mass(u), mass(v), np.abs(u).max(axis=0), np.abs(v).max(axis=0),
-                     l2(u), l2(v), l2(u - cols.lam), u.min(axis=0), v.min(axis=0), flux))
+                     l2(u), l2(u - cols.lam), u.min(axis=0), v.min(axis=0), flux))
     for j, (traj, row, u_tumor) in enumerate(zip(trajs, rows.T.tolist(), u[-1].tolist())):
         # integrand of the mass-balance boundary term: mu * V(u) v/(1+v)
         row.append(float(np.asarray(cols.V.V(u_tumor))) * row[-1])
@@ -481,7 +478,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     while live:
         m = len(live)
         if ctrl.dt is None:
-            bound = np.reshape(cfl_dt(y[:n], y[n:], h, cols, ctrl.dt_safety), -1).tolist()
+            bound = np.reshape(cfl_dt(y[:n], y[n:], h, cols), -1).tolist()
             plain = [b < a for b, a in zip(bound, proposal)]
             dts = [_rung(min(b, a)) for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
@@ -503,7 +500,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc],
                                           half, factored(half))
             errors = {acc[i]: error for i, error in failed.items()} | errors
-            safe = np.reshape(cfl_dt(ym[:n], ym[n:], h, ca, ctrl.dt_safety), -1).tolist()
+            safe = np.reshape(cfl_dt(ym[:n], ym[n:], h, ca), -1).tolist()
             ok = [i for i, d in enumerate(half) if d <= safe[i]]
             done, err, retry = [acc[i] for i in ok], {}, []
             if ok:

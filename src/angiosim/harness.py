@@ -265,25 +265,12 @@ def classify_regime(
 
     fits: list[DecayFit] = []
     fit_errors: list[str] = []
-    if p.mu < mu1:
-        try:
-            fits.append(
-                fit_decay(traj.times, traj.series("linf_v"), fit_window, "linf_v")
-            )
-        except CannotFitError as exc:
-            fit_errors.append(str(exc))
-    if p.lam > 0:
-        try:
-            fits.append(
-                fit_decay(
-                    traj.times,
-                    traj.series("l2_u_minus_lam"),
-                    fit_window,
-                    "l2_u_minus_lam",
-                )
-            )
-        except CannotFitError as exc:
-            fit_errors.append(str(exc))
+    for decays, quantity in ((p.mu < mu1, "linf_v"), (p.lam > 0, "l2_u_minus_lam")):
+        if decays:
+            try:
+                fits.append(fit_decay(traj.times, traj.series(quantity), fit_window, quantity))
+            except CannotFitError as exc:
+                fit_errors.append(str(exc))
 
     mass = None
     if p.lam == 0 and traj.times[-1] > audit_tau:

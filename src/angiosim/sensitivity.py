@@ -5,12 +5,13 @@ model requires V(0) = 0 and V > 0 away from zero. The checkers here
 estimate growth exponents of V near zero (superlinearity) and power
 envelopes on a working range, so a harness run can record which
 structural conditions its V actually satisfies. Checks are numerical on
-sample grids because tabulated user functions are admitted.
+sample grids: a SensitivitySpec holds any V/V' pair of Python callables,
+for which no formula gives the growth orders or checks V' against V.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -22,7 +23,6 @@ __all__ = [
     "saturating_power",
     "linear_saturating",
     "truncated_linear",
-    "tabulated",
     "H1Report",
     "EnvelopeReport",
     "check_hypothesis2",
@@ -43,7 +43,7 @@ class SensitivitySpec:
     kinks lists points where V' jumps (empty for smooth families); the
     finite-difference consistency check skips their neighborhoods.
     envelope_exponent is the natural power for growth-envelope checks,
-    None when there is no canonical choice (tabulated data).
+    None when there is no canonical choice (a user-supplied V).
     """
 
     family: str
@@ -80,17 +80,8 @@ def saturating_power(alpha: float) -> SensitivitySpec:
 
 
 def linear_saturating() -> SensitivitySpec:
-    """V(s) = s / (1 + s)."""
-
-    def V(s):
-        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
-        return sp / (1.0 + sp)
-
-    def Vp(s):
-        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
-        return 1.0 / (1.0 + sp) ** 2
-
-    return SensitivitySpec("linear-saturating", V, Vp, envelope_exponent=1.0)
+    """V(s) = s / (1 + s): saturating_power(1.0) under its own family name."""
+    return replace(saturating_power(1.0), family="linear-saturating", params=())
 
 
 def truncated_linear(v_max: float) -> SensitivitySpec:
@@ -108,33 +99,6 @@ def truncated_linear(v_max: float) -> SensitivitySpec:
 
     return SensitivitySpec("truncated-linear", V, Vp, params=(m,),
                            kinks=(m,), envelope_exponent=1.0)
-
-
-def tabulated(s_knots, v_knots) -> SensitivitySpec:
-    """Piecewise-linear V from user samples; V' is piecewise constant."""
-    s = np.asarray(s_knots, dtype=float)
-    v = np.asarray(v_knots, dtype=float)
-    if s.ndim != 1 or s.shape != v.shape or s.size < 2:
-        raise ValueError("tabulated sensitivity needs matching 1D knot arrays")
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("tabulated knots must be strictly increasing")
-    if s[0] > 0:
-        s = np.concatenate(([0.0], s))
-        v = np.concatenate(([0.0], v))
-    if abs(v[0]) > 1e-14:
-        raise ValueError("tabulated sensitivity must start from V(0) = 0")
-    slopes = np.diff(v) / np.diff(s)
-
-    def V(x):
-        return np.interp(np.maximum(np.asarray(x, dtype=float), 0.0), s, v)
-
-    def Vp(x):
-        xp = np.maximum(np.asarray(x, dtype=float), 0.0)
-        idx = np.clip(np.searchsorted(s, xp, side="right") - 1, 0, slopes.size - 1)
-        return np.where(xp >= s[-1], 0.0, slopes[idx])
-
-    return SensitivitySpec("tabulated", V, Vp, params=tuple(s),
-                           kinks=tuple(s[1:]))
 
 
 def check_hypothesis2(spec: SensitivitySpec) -> None:

@@ -34,3 +34,22 @@ def test_every_error_class_is_raised_or_subclassed():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 used.add(node.func.id)
     assert sorted(classes - used) == []
+
+
+def test_every_diagnostics_series_is_read():
+    # a DIAG_COLUMNS series that no module names outside the tuple is
+    # computed at every record and read by nothing
+    package = Path(angiosim.__file__).parent
+    columns, named = [], set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "DIAG_COLUMNS"
+                    for target in node.targets):
+                columns += [elt.value for elt in node.value.elts]
+                skip.update(map(id, node.value.elts))
+        named.update(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str) and id(node) not in skip)
+    assert columns and sorted(set(columns) - named) == []

@@ -45,6 +45,8 @@ def test_parse_config_rejects_unknown_keys():
         parse_config('{"model": {"mumble": 3}}')
     with pytest.raises(ConfigError, match="grud"):
         parse_config('{"grud": {}}')
+    with pytest.raises(ConfigError, match=r"time\.dt_safety"):  # even the value of DT_SAFETY
+        parse_config('{"time": {"dt_safety": 0.4}}')
 
 
 def test_parse_config_reports_syntax_error_position():
@@ -210,6 +212,9 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"grid": {"n": 2}})
     assert main(["mu1", "--config", cfg]) == 2
     assert "n" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"time": {"dt_safety": 0.4}})
+    assert main(["mu1", "--config", cfg]) == 2
+    assert "time.dt_safety" in capsys.readouterr().err
 
 
 def test_cli_unknown_experiment_key_exits_2(tmp_path, capsys):

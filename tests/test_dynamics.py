@@ -6,6 +6,7 @@ import pytest
 import angiosim.dynamics
 from angiosim.dynamics import (
     DIAG_COLUMNS,
+    DT_SAFETY,
     ModelParams,
     SimState,
     StepControl,
@@ -42,8 +43,12 @@ def test_step_control_validation():
         StepControl(t_end=0.0)
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, dt=-0.1)
-    with pytest.raises(ValueError):
-        StepControl(t_end=1.0, dt_safety=1.5)
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            StepControl(t_end=t_end)  # nan would never end a run
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            StepControl(t_end=1.0, dt=dt)
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, output_every=0)
 
@@ -95,16 +100,16 @@ def test_zero_v_is_invariant(grid65):
 
 def test_cfl_dt_zero_state(grid65, zero_V):
     # The decay -v is implicit, so only the explicit reactions cap dt:
-    # 0.5 / max(|lam| + 2*max u, c*max u).
+    # DT_SAFETY * 0.5 / max(|lam| + 2*max u, c*max u).
     zero, one = np.zeros(grid65.n), np.ones(grid65.n)
     decay_only = ModelParams(lam=0.0, mu=0.5, c=3.0, V=zero_V)
-    assert cfl_dt(zero, zero, grid65.h, decay_only, dt_safety=1.0) > 1e20
+    assert cfl_dt(zero, zero, grid65.h, decay_only) > 1e20
     shrinking = ModelParams(lam=-3.0, mu=0.5, c=3.0, V=zero_V)
-    assert cfl_dt(zero, zero, grid65.h, shrinking, dt_safety=0.4) == pytest.approx(
-        0.4 * 0.5 / 3.0, abs=1e-15)
+    assert cfl_dt(zero, zero, grid65.h, shrinking) == pytest.approx(
+        DT_SAFETY * 0.5 / 3.0, abs=1e-15)
     consuming = ModelParams(lam=0.0, mu=0.5, c=5.0, V=zero_V)
-    assert cfl_dt(one, zero, grid65.h, consuming, dt_safety=1.0) == pytest.approx(
-        0.1, abs=1e-15)
+    assert cfl_dt(one, zero, grid65.h, consuming) == pytest.approx(
+        DT_SAFETY * 0.1, abs=1e-15)
 
 
 def test_step_refuses_auto_dt(grid65):
@@ -188,8 +193,8 @@ def test_cfl_dt_halves_when_gradient_doubles(grid65):
 def test_cfl_dt_reaction_cap_scales(grid65, zero_V):
     p = ModelParams(lam=2.0, mu=0.0, c=1.0, V=zero_V)
     # max(lam + 2, 1 + 1) = 4
-    assert cfl_dt(np.ones(grid65.n), np.zeros(grid65.n), grid65.h, p,
-                  dt_safety=1.0) == pytest.approx(0.125, abs=1e-15)
+    assert cfl_dt(np.ones(grid65.n), np.zeros(grid65.n), grid65.h, p) == pytest.approx(
+        DT_SAFETY * 0.125, abs=1e-15)
 
 
 def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
@@ -634,7 +639,7 @@ def _reference_row(p: ModelParams, state: SimState) -> list:
     h, u, v = state.u.grid.h, state.u.values, state.v.values
     flux = float(boundary_flux_v(p, v[-1]))
     return [state.t, trapezoid(h, u), trapezoid(h, v), float(np.abs(u).max()),
-            float(np.abs(v).max()), l2_norm(h, u), l2_norm(h, v), l2_norm(h, u - p.lam),
+            float(np.abs(v).max()), l2_norm(h, u), l2_norm(h, u - p.lam),
             float(u.min()), float(v.min()), flux, float(p.V.V(u[-1])) * flux]
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from angiosim.errors import SensitivityHypothesisError
 from angiosim.sensitivity import (
+    SensitivitySpec,
     check_H1,
     check_growth_envelope,
     check_hypothesis2,
@@ -10,7 +11,6 @@ from angiosim.sensitivity import (
     f_g_diagnostics,
     linear_saturating,
     saturating_power,
-    tabulated,
     truncated_linear,
 )
 
@@ -59,7 +59,11 @@ def test_check_h1_cubic_passes_in_2d():
 
 
 def test_check_h1_rejects_nonpositive_v():
-    bad = tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])  # flat zero near 0
+    def flat_then_linear(s):  # V = 0 on [0, 1], s - 1 beyond
+        return np.maximum(np.asarray(s, dtype=float) - 1.0, 0.0)
+
+    bad = SensitivitySpec("flat-at-zero", flat_then_linear,
+                          lambda s: np.where(np.asarray(s, dtype=float) > 1.0, 1.0, 0.0))
     with pytest.raises(SensitivityHypothesisError):
         check_H1(bad, d=1, delta=0.1)
 
@@ -111,13 +115,28 @@ def test_f_g_nondecreasing_in_delta(spec):
     assert all(a <= b + 1e-15 for a, b in zip(gs, gs[1:]))
 
 
-def test_tabulated_round_trip_and_validation():
-    spec = tabulated([0.0, 0.5, 1.0], [0.0, 0.25, 1.0])
-    assert float(np.asarray(spec.V(0.25))) == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        tabulated([0.0, 0.5], [0.1, 0.2])  # V(0) != 0
-    with pytest.raises(ValueError):
-        tabulated([0.5, 0.4], [0.0, 0.1])  # not increasing
+def test_linear_saturating_is_saturating_power_one():
+    # bitwise, in 1-D and in the Fortran-ordered (n, k) layout of a batch,
+    # and equal to s/(1+s) and 1/(1+s)^2 as written
+    s = np.concatenate(([-1.0, 0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e300],
+                        np.random.default_rng(5).random(1000) * 10.0))
+    lin, power = linear_saturating(), saturating_power(1.0)
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    for x in (s, np.asfortranarray(s[:1000].reshape(500, 2)), 1e300, 0.0):
+        sp = np.maximum(np.asarray(x, dtype=float), 0.0)
+        for V in (lin.V, power.V):
+            assert np.array_equal(bits(V(x)), bits(sp / (1.0 + sp)))
+        with np.errstate(over="ignore"):  # (1 + 1e300)**2 is inf, so V' is 0 there
+            for Vp in (lin.V_prime, power.V_prime):
+                assert np.array_equal(bits(Vp(x)), bits(1.0 / (1.0 + sp) ** 2))
+    assert lin.describe() == {"family": "linear-saturating", "params": []}
+    assert (lin.kinks, lin.envelope_exponent) == ((), 1.0)
+
+
+def test_family_parameter_validation():
     with pytest.raises(ValueError):
         saturating_power(0.5)
     with pytest.raises(ValueError):
