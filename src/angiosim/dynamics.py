@@ -19,7 +19,9 @@ the matrix depends only on (n, h, dt) and is an M-matrix for every dt.
 A steady v with u = 0 solves the banded_rows rows with this flux, and
 steady.theta_mu solves those exactly, so theta_mu is a fixed point of
 the step for every dt. Only the explicit chemotaxis and reactions can
-drive a density negative, which raises PositivityError.
+drive a density negative. Auto dt stays within cfl_dt, which bounds the
+rate at which the upwind chemotaxis drains each node, so they cannot;
+a fixed dt that is too large raises PositivityError.
 
 Auto dt departs from plain IMEX Euler where accuracy bounds the step
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4). A step whose cfl_dt
@@ -85,7 +87,9 @@ __all__ = [
 ]
 
 POSITIVITY_HARD_LIMIT = -1e-9  # beyond this a step is rejected outright
-RATE_FLOOR = 1e-30  # floor of the drift speed and reaction rate in cfl_dt
+# floor of the largest drain rate and of the reaction rate in cfl_dt, so
+# that a state nothing drains bounds dt finitely
+RATE_FLOOR = 1e-30
 TOL = 1e-2  # error tolerance of an accuracy-bound auto-dt step, and its first dt
 # absolute part of the error's scale; just above harness.FIT_FLOOR, so
 # any v a decay fit can still use keeps steering dt
@@ -94,7 +98,10 @@ ATOL = 1e-12
 # nearly equal dt share one factor
 DT_RUNGS = 16
 END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
-DT_SAFETY = 0.4  # the share of cfl_dt's raw bound that a step may take
+# the share of cfl_dt's raw bounds that a step may take: with it a step
+# loses at most 2*DT_SAFETY of a node's u to chemotaxis and less than
+# DT_SAFETY/2 to the reactions, so any value <= 0.4 keeps u nonnegative
+DT_SAFETY = 0.4
 
 DIAG_COLUMNS = (
     "t", "mass_u", "mass_v", "linf_u", "linf_v", "l2_u",
@@ -209,22 +216,35 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
 
 
 def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams):
-    """Largest safe step for the explicit terms, times DT_SAFETY; one per
+    """Largest step the explicit terms admit, times DT_SAFETY; one per
     column when u and v are (n, k) and p holds a batch's parameters.
 
-    The advective candidate is h over the largest face drift speed
-    max|V'(u)| * max|v_x| (the tumor-boundary face contributes its flux
-    value); the reaction cap is 0.5 / max(|lam| + 2*max u, c*max u),
-    covering the explicit lam*u - u^2 and -c*u*v. The decay -v is
-    implicit and caps nothing. Both rates are floored at RATE_FLOOR. A
-    DT_SAFETY <= 0.5 makes the upwind update provably
-    nonnegativity-preserving (boundary cells are half-width, doubling
-    their drain rate).
+    The upwind chemotaxis drains node i at the rate
+    drain_i = (V(u_i)/u_i) * out_i / h^2, with V(u)/u taken as 0 where
+    u <= 0. out_i sums the rises of v away from node i across its
+    faces, max(dv_i, 0) + max(-dv_{i-1}, 0) with dv = v[1:] - v[:-1]:
+    those faces carry u_i upwind. The end cells are half-width, which
+    doubles their out, and the tumor node also sends out
+    2h * mu*v_L/(1+v_L) through its boundary face. Every other
+    chemotactic term is a gain, as V >= 0. The advective bound is
+    2 / max_i drain_i; the reaction bound, for the explicit lam*u - u^2
+    and -c*u*v, is 0.5 / max(|lam| + 2*max u, c*max u). The decay -v is
+    implicit and bounds nothing. At dt = DT_SAFETY * min(both), the
+    explicit stage takes at most 2*DT_SAFETY of each u_i by chemotaxis
+    and less than DT_SAFETY/2 by the reactions, and less than
+    DT_SAFETY/2 of each v_i. So DT_SAFETY <= 0.4 keeps both densities
+    nonnegative, and so does the implicit M-matrix solve after it.
     """
-    grad = np.abs(v[1:] - v[:-1]).max(axis=0) / h
-    grad = np.maximum(grad, np.abs(boundary_flux_v(p, v[-1])))
-    drift = np.abs(np.asarray(p.V.V_prime(u))).max(axis=0) * grad
-    advective = h / np.maximum(drift, RATE_FLOOR)
+    dv = v[1:] - v[:-1]
+    out = np.zeros_like(u)  # out_i of the docstring
+    np.maximum(dv, 0.0, out=out[:-1])
+    out[1:] -= np.minimum(dv, 0.0)
+    out[0] *= 2.0
+    out[-1] = 2.0 * (out[-1] + h * boundary_flux_v(p, v[-1]))
+    vu = np.asarray(p.V.V(u))
+    drain = np.divide(vu, u, out=np.zeros_like(vu), where=u > 0.0)
+    drain *= out
+    advective = 2.0 / np.maximum(drain.max(axis=0) / (h * h), RATE_FLOOR)
     linf_u = np.abs(u).max(axis=0)
     rate = np.maximum(np.maximum(np.abs(p.lam) + 2.0 * linf_u, p.c * linf_u), RATE_FLOOR)
     return DT_SAFETY * np.minimum(advective, 0.5 / rate)

@@ -24,7 +24,7 @@ from angiosim.elliptic import banded_rows, factor
 from angiosim.errors import PositivityError, SolverError
 from angiosim.grid import const_field, l2_norm, make_field, make_grid, trapezoid
 from angiosim.harness import fit_decay
-from angiosim.sensitivity import SensitivitySpec, saturating_power
+from angiosim.sensitivity import SensitivitySpec, saturating_power, truncated_linear
 from angiosim.steady import theta_mu
 
 
@@ -195,6 +195,67 @@ def test_cfl_dt_reaction_cap_scales(grid65, zero_V):
     # max(lam + 2, 1 + 1) = 4
     assert cfl_dt(np.ones(grid65.n), np.zeros(grid65.n), grid65.h, p) == pytest.approx(
         DT_SAFETY * 0.125, abs=1e-15)
+
+
+def _falling_into_tumor(grid, mu, v_tumor):
+    # v flat but for one drop into the tumor node, as steep as its boundary flux
+    v = np.full(grid.n, v_tumor + grid.h * mu * v_tumor / (1.0 + v_tumor))
+    v[-1] = v_tumor
+    return v
+
+
+def _adversarial_states(grid):
+    x = grid.nodes
+    kinked = 4.0 * np.maximum(x - 0.5, 0.0)  # flat on [0, 0.5], slope 4 beyond
+    yield np.full(grid.n, 3.0), kinked, ModelParams(0.0, 0.0, 1.0, saturating_power(2.0))
+    yield np.full(grid.n, 0.5), kinked, ModelParams(0.0, 0.0, 1.0, truncated_linear(0.5))
+    for mu, v_tumor in ((1.0, 0.15), (50.0, 0.01)):
+        yield (np.ones(grid.n), _falling_into_tumor(grid, mu, v_tumor),
+               ModelParams(0.0, mu, 1.0, saturating_power(2.0)))
+    rng = np.random.default_rng(15)
+    for V in (saturating_power(2.0), saturating_power(1.0), truncated_linear(0.3)):
+        for _ in range(50):
+            u = rng.uniform(0.0, 4.0, grid.n) * (rng.uniform(size=grid.n) < 0.7)
+            v = rng.uniform(0.0, 2.0, grid.n)
+            yield u, v, ModelParams(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 50.0),
+                                    rng.uniform(0.0, 5.0), V)
+
+
+def test_cfl_dt_keeps_the_explicit_stage_nonnegative(grid65):
+    # The first four states are the worst cases of a bound by
+    # max|V'| * max|v_x|: u past V's inflection point, a V' = 0 plateau
+    # and v falling into the tumor node each sent u below zero in one
+    # stage (to -3.2, -25, -0.70 and -0.63). The rest are random, with
+    # zeros in u.
+    for u, v, p in _adversarial_states(grid65):
+        dt = cfl_dt(u, v, grid65.h, p)
+        div = chemotaxis_divergence(grid65, u, v, p)
+        assert (u + dt * (-div + p.lam * u - u * u)).min() >= 0.0
+        assert (v - dt * p.c * u * v).min() >= 0.0
+
+
+def test_cfl_dt_of_a_batch_is_each_columns_bound(grid65):
+    states = list(_adversarial_states(grid65))
+    for V in {id(s[2].V): s[2].V for s in states}.values():  # a batch shares its V
+        cols = [s for s in states if s[2].V is V][:8]
+        u = np.asfortranarray(np.stack([s[0] for s in cols], axis=1))
+        v = np.asfortranarray(np.stack([s[1] for s in cols], axis=1))
+        batch = cfl_dt(u, v, grid65.h, angiosim.dynamics._Columns.of([s[2] for s in cols]))
+        solo = [cfl_dt(*s[:2], grid65.h, s[2]) for s in cols]
+        assert batch.tolist() == solo
+
+
+def test_auto_dt_never_calls_v_prime(grid65):
+    # cfl_dt bounds dt by V(u)/u, the rate the upwind step drains a node
+    def no_derivative(s):
+        raise AssertionError("V' was called")
+
+    V = SensitivitySpec("no-derivative", saturating_power(2.0).V, no_derivative)
+    p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=V)
+    u, v = np.full(grid65.n, 0.5), 0.5 + grid65.nodes**2
+    assert 0.0 < cfl_dt(u, v, grid65.h, p) < np.inf
+    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p, StepControl(t_end=1.0))
+    assert traj.steps_cfl_bound + traj.steps_extrapolated == traj.steps_taken > 1
 
 
 def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
