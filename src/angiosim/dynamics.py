@@ -10,18 +10,20 @@ and the outward flux v_x = mu*v/(1+v) at the tumor end.
 
 Scheme: IMEX Euler. Diffusion and the attractant's linear decay -v are
 implicit: the u block I + dt*(-d2/dx2) and the v block
-(1 + dt)*I + dt*(-d2/dx2), each with mirror rows (elliptic.banded_rows),
-are joined by one zero off-diagonal entry into a single 2n system, so a
-step is one LDL^T solve. The chemotactic divergence, the logistic term,
--c*u*v and the tumor flux of v are explicit; the flux enters v's
-tumor-end row as the source (2*dt/h)*mu*v/(1+v) in [0, 2*dt*mu/h]. So
-the matrix depends only on (n, h, dt) and is an M-matrix for every dt.
-A steady v with u = 0 solves the banded_rows rows with this flux, and
-steady.theta_mu solves those exactly, so theta_mu is a fixed point of
-the step for every dt. Only the explicit chemotaxis and reactions can
-drive a density negative. Auto dt stays within cfl_dt, which bounds the
-rate at which the upwind chemotaxis drains each node, so they cannot;
-a fixed dt that is too large raises PositivityError.
+(1 + dt)*I + dt*(-d2/dx2), each with mirror rows (elliptic.banded_rows).
+The logistic term, -c*u*v and the tumor flux of v are explicit; the flux
+enters v's tumor-end row as the source (2*dt/h)*mu*v/(1+v) in
+[0, 2*dt*mu/h]. So the v block depends only on (n, h, dt) and is an
+M-matrix for every dt. A steady v with u = 0 solves the banded_rows rows
+with this flux, and steady.theta_mu solves those exactly, so theta_mu is
+a fixed point of the step for every dt.
+
+A fixed-dt step keeps the chemotaxis explicit: its blocks, joined by
+one zero entry into a 2n system, take one LDL^T solve, and a dt too
+large for the explicit terms raises PositivityError. An auto-dt step
+makes the chemotaxis linearly implicit in the new u (_solve_u_block), so
+its u block is a tridiagonal M-matrix for every dt, solved by dgtsv, and
+only the explicit reactions bound dt (cfl_dt) to keep u, v nonnegative.
 
 Auto dt departs from plain IMEX Euler where accuracy bounds the step
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4). A step whose cfl_dt
@@ -54,8 +56,9 @@ positivity. On the tumor-boundary face the flux uses the boundary value
 mu*v/(1+v) of v_x, so the discrete mass balance of u telescopes exactly:
 with lam = 0 the change of the trapezoidal mass of u equals
 -dt * (boundary flux + quadratic absorption) summed over steps, to
-round-off. Audits rely on this. An extrapolated step's change is twice
-its half steps' terms less its full step's, unless it fell back to yh.
+round-off; an auto-dt step's boundary flux is that of its new u_L.
+Audits rely on this. An extrapolated step's change is twice its half
+steps' terms less its full step's, unless it fell back to yh.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import banded_rows, factor
+from .elliptic import banded_rows, dgtsv, factor
 from .errors import PositivityError, SolverError
 from .grid import Field, Grid1D, l2_norm, make_field
 from .sensitivity import SensitivitySpec
@@ -87,8 +90,8 @@ __all__ = [
 ]
 
 POSITIVITY_HARD_LIMIT = -1e-9  # beyond this a step is rejected outright
-# floor of the largest drain rate and of the reaction rate in cfl_dt, so
-# that a state nothing drains bounds dt finitely
+# floor of the reaction rate in cfl_dt, so that a state without
+# reactions bounds dt finitely
 RATE_FLOOR = 1e-30
 TOL = 1e-2  # error tolerance of an accuracy-bound auto-dt step, and its first dt
 # absolute part of the error's scale; just above harness.FIT_FLOOR, so
@@ -98,9 +101,9 @@ ATOL = 1e-12
 # nearly equal dt share one factor
 DT_RUNGS = 16
 END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
-# the share of cfl_dt's raw bounds that a step may take: with it a step
-# loses at most 2*DT_SAFETY of a node's u to chemotaxis and less than
-# DT_SAFETY/2 to the reactions, so any value <= 0.4 keeps u nonnegative
+# the share of cfl_dt's raw reaction bound that a step may take: with it
+# the explicit reactions take less than DT_SAFETY/2 of a node's u or v,
+# so any value < 2 keeps the right-hand sides nonnegative
 DT_SAFETY = 0.4
 
 DIAG_COLUMNS = (
@@ -215,43 +218,24 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
     return div
 
 
-def cfl_dt(u: np.ndarray, v: np.ndarray, h: float, p: ModelParams):
-    """Largest step the explicit terms admit, times DT_SAFETY; one per
-    column when u and v are (n, k) and p holds a batch's parameters.
+def cfl_dt(u: np.ndarray, p: ModelParams):
+    """Largest auto dt the explicit reactions admit, times DT_SAFETY; one
+    per column when u is (n, k) and p holds a batch's parameters.
 
-    The upwind chemotaxis drains node i at the rate
-    drain_i = (V(u_i)/u_i) * out_i / h^2, with V(u)/u taken as 0 where
-    u <= 0. out_i sums the rises of v away from node i across its
-    faces, max(dv_i, 0) + max(-dv_{i-1}, 0) with dv = v[1:] - v[:-1]:
-    those faces carry u_i upwind. The end cells are half-width, which
-    doubles their out, and the tumor node also sends out
-    2h * mu*v_L/(1+v_L) through its boundary face. Every other
-    chemotactic term is a gain, as V >= 0. The advective bound is
-    2 / max_i drain_i; the reaction bound, for the explicit lam*u - u^2
-    and -c*u*v, is 0.5 / max(|lam| + 2*max u, c*max u). The decay -v is
-    implicit and bounds nothing. At dt = DT_SAFETY * min(both), the
-    explicit stage takes at most 2*DT_SAFETY of each u_i by chemotaxis
-    and less than DT_SAFETY/2 by the reactions, and less than
-    DT_SAFETY/2 of each v_i. So DT_SAFETY <= 0.4 keeps both densities
-    nonnegative, and so does the implicit M-matrix solve after it.
+    The bound for the explicit lam*u - u^2 and -c*u*v is
+    0.5 / max(|lam| + 2*max u, c*max u). The decay -v and, in an auto-dt
+    step, the chemotaxis are implicit and bound nothing. At dt =
+    DT_SAFETY times that bound, the reactions take less than DT_SAFETY/2
+    of each u_i and v_i, so the right-hand sides stay nonnegative, and
+    so do the M-matrix solves after them.
     """
-    dv = v[1:] - v[:-1]
-    out = np.zeros_like(u)  # out_i of the docstring
-    np.maximum(dv, 0.0, out=out[:-1])
-    out[1:] -= np.minimum(dv, 0.0)
-    out[0] *= 2.0
-    out[-1] = 2.0 * (out[-1] + h * boundary_flux_v(p, v[-1]))
-    vu = np.asarray(p.V.V(u))
-    drain = np.divide(vu, u, out=np.zeros_like(vu), where=u > 0.0)
-    drain *= out
-    advective = 2.0 / np.maximum(drain.max(axis=0) / (h * h), RATE_FLOOR)
     linf_u = np.abs(u).max(axis=0)
     rate = np.maximum(np.maximum(np.abs(p.lam) + 2.0 * linf_u, p.c * linf_u), RATE_FLOOR)
-    return DT_SAFETY * np.minimum(advective, 0.5 / rate)
+    return DT_SAFETY * (0.5 / rate)
 
 
 def _step_factor(n: int, h: float, dt: float):
-    """LDL^T factor of the step matrix: the u block I + dt*(-d2/dx2) and
+    """LDL^T factor of a fixed-dt step: the u block I + dt*(-d2/dx2) and
     the v block (1 + dt)*I + dt*(-d2/dx2), joined by one zero entry."""
     r = dt / (h * h)
     d_u, e_u = banded_rows(n, h, r, 1.0)
@@ -259,12 +243,45 @@ def _step_factor(n: int, h: float, dt: float):
     return factor((np.concatenate((d_u, d_v)), np.concatenate((e_u, [0.0], e_v))))
 
 
+def _v_factor(n: int, h: float, dt: float):
+    """LDL^T factor of the v block (1 + dt)*I + dt*(-d2/dx2) of auto dt."""
+    return factor(banded_rows(n, h, dt / (h * h), 1.0 + dt))
+
+
+def _solve_u_block(grid: Grid1D, u: np.ndarray, v: np.ndarray, cols: _Columns | ModelParams,
+                   dt, b: np.ndarray) -> None:
+    """Overwrite b, the u rows of an auto-dt advance from (u, v), with x:
+    W*(I + dt*(-d2/dx2) + dt*C) x = W*b. C x is the divergence of the
+    upwind flux of chemotaxis_divergence with V(u_up) replaced by
+    (V(u_up)/u_up)*x_up, and V(u)/u is 0 where u <= 0. The face factor
+    a = dt*(V/u)_up*dv/h^2 is > 0 exactly where the left node is upwind."""
+    n, h = grid.n, grid.h
+    rate = np.divide(cols.V.V(u), u, out=np.zeros(u.shape, order="F"), where=u > 0.0)
+    dv = v[1:] - v[:-1]
+    r = dt / (h * h)
+    a = np.where(dv > 0.0, rate[:-1], rate[1:]) * dv * r  # V(u)/u at the upwind node
+    lower, upper = np.maximum(a, 0.0), np.minimum(a, 0.0)
+    d = np.empty_like(u)
+    d[...] = 1.0 + 2.0 * r
+    d[::n - 1] *= 0.5  # W*(I + dt*(-d2/dx2)); the rows of W*C follow
+    d[:-1] += lower
+    d[1:] -= upper
+    d[-1] += dt / h * rate[-1] * boundary_flux_v(cols, v[-1])
+    lower, upper = -r - lower, upper - r
+    b[::n - 1] *= 0.5
+    columns = [(lower, d, upper, b)] if b.ndim == 1 else zip(lower.T, d.T, upper.T, b.T)
+    for column in columns:
+        dgtsv(*column, True, True, True, True)  # in place on b's column
+
+
 def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list, dts: list,
-             factors: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+             factors: dict, implicit: bool) -> tuple[np.ndarray, np.ndarray, dict]:
     """One IMEX Euler step of the batch y, column j from time t[j] by
     dts[j]. y is a (2n, k) array, or the (2n,) column of a batch of one,
-    whose cols is then a ModelParams (see run_batch). factors maps each
-    distinct dt to its _step_factor.
+    whose cols is then a ModelParams (see run_batch). With implicit False
+    the chemotaxis is explicit and factors maps each distinct dt to its
+    _step_factor; with implicit True, an auto-dt step, _solve_u_block
+    solves the u rows and factors maps each dt to its _v_factor.
 
     Returns the new batch, the minima of u and v per column as a (2, k)
     array, and the SolverError of each column whose step failed, by
@@ -273,27 +290,30 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     n, h = grid.n, grid.h
     u, v = y[:n], y[n:]
     dt = np.array(dts) if y.ndim == 2 else dts[0]
-    # u + dt*(-div + lam*u - u^2) and v - dt*c*u*v, rounded as written,
-    # with few temporaries alive at once
-    div = chemotaxis_divergence(grid, u, v, cols)
+    # u + dt*(lam*u - u^2), less dt*div where the chemotaxis is explicit,
+    # and v - dt*c*u*v, rounded as written, with few temporaries alive at once
     g = cols.lam * u
-    g -= div
-    g -= np.multiply(u, u, out=div)
+    if not implicit:
+        g -= chemotaxis_divergence(grid, u, v, cols)
+    g -= u * u
     g *= dt
     rhs = np.empty_like(y)
     np.add(u, g, out=rhs[:n])
     g = np.multiply(dt * cols.c, u, out=g)
     g *= v
     np.subtract(v, g, out=rhs[n:])
-    # Explicit tumor-flux source: keeps the step matrix state-free.
+    # Explicit tumor-flux source: keeps the v block state-free.
     rhs[-1] += 2.0 * dt / h * boundary_flux_v(cols, v[-1])
+    if implicit:
+        _solve_u_block(grid, u, v, cols, dt, rhs[:n])
+    head = n if implicit else 0  # the first row the factors solve
     if len(factors) == 1:
         (solve,) = factors.values()
-        rhs = solve(rhs)
+        rhs[head:] = solve(rhs[head:])  # a no-op copy where solve worked in place
     else:
         for step_dt, solve in factors.items():
             same = np.flatnonzero(dt == step_dt)
-            rhs[:, same] = solve(rhs[:, same])
+            rhs[head:, same] = solve(rhs[head:, same])
     lows = rhs.reshape((n, 2, -1), order="F").min(axis=0)
     errors = {}
     if not (lows.min() >= POSITIVITY_HARD_LIMIT and rhs.max() < np.inf):
@@ -322,7 +342,7 @@ def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
         raise ValueError("step needs a fixed ctrl.dt; auto dt is run's")
     grid, n, dt = state.u.grid, state.u.grid.n, ctrl.dt
     y = np.concatenate((state.u.values, state.v.values))
-    y, _, errors = _advance(grid, p, y, [state.t], [dt], {dt: _step_factor(n, grid.h, dt)})
+    y, _, errors = _advance(grid, p, y, [state.t], [dt], {dt: _step_factor(n, grid.h, dt)}, False)
     if errors:
         raise errors[0]
     return SimState(state.t + dt, make_field(grid, y[:n]), make_field(grid, y[n:]))
@@ -479,13 +499,13 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     lows = np.array([[u0.values.min()], [v0.values.min()]]).repeat(k, axis=1)
     proposal, tally = [TOL] * k, [[0, 0, 0] for _ in range(k)]
     steps = 0
-    t_end = ctrl.t_end
+    t_end, auto = ctrl.t_end, ctrl.dt is None
     slack = END_SLACK * t_end
     factors, fresh = {}, {}  # by dt, the factors of the previous step and of this one
 
     def factored(dts):
-        out = {dt: fresh.get(dt) or factors.get(dt) or _step_factor(n, h, dt)
-               for dt in dict.fromkeys(dts)}
+        out = {dt: fresh.get(dt) or factors.get(dt)
+               or (_v_factor if auto else _step_factor)(n, h, dt) for dt in dict.fromkeys(dts)}
         fresh.update(out)
         return out
 
@@ -497,8 +517,8 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
 
     while live:
         m = len(live)
-        if ctrl.dt is None:
-            bound = np.reshape(cfl_dt(y[:n], y[n:], h, cols), -1).tolist()
+        if auto:
+            bound = np.reshape(cfl_dt(y[:n], cols), -1).tolist()
             plain = [b < a for b, a in zip(bound, proposal)]
             dts = [_rung(min(b, a)) for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
@@ -510,23 +530,24 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                 if tj > t_end + slack:
                     dts[j] = t_end - t[j]
                 t_new[j] = t_end
-        y_new, new_lows, errors = _advance(grid, cols, y, t, dts, factored(dts))
-        acc = [j for j, p in enumerate(plain) if not p] if ctrl.dt is None else []
+        y_new, new_lows, errors = _advance(grid, cols, y, t, dts, factored(dts), auto)
+        acc = [j for j, p in enumerate(plain) if not p] if auto else []
         while acc:
             # two half steps, the second only from a midpoint cfl_dt admits;
             # a rejected column retries at dt/2, whose full step is the first
             ca = cols if len(acc) == m else cols.take(acc)
             half = [dts[j] / 2 for j in acc]
             ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc],
-                                          half, factored(half))
+                                          half, factored(half), True)
             errors = {acc[i]: error for i, error in failed.items()} | errors
-            safe = np.reshape(cfl_dt(ym[:n], ym[n:], h, ca), -1).tolist()
+            safe = np.reshape(cfl_dt(ym[:n], ca), -1).tolist()
             ok = [i for i, d in enumerate(half) if d <= safe[i]]
             done, err, retry = [acc[i] for i in ok], {}, []
             if ok:
                 cb, hb = ca if len(ok) == len(acc) else ca.take(ok), [half[i] for i in ok]
                 yh, _, failed = _advance(grid, cb, _take(ym, ok, len(acc)),
-                                         [t[j] + d for j, d in zip(done, hb)], hb, factored(hb))
+                                         [t[j] + d for j, d in zip(done, hb)], hb, factored(hb),
+                                         True)
                 errors = {done[i]: error for i, error in failed.items()} | errors
                 y1 = _take(y_new, done, m)
                 err = dict(zip(done, np.reshape(
@@ -552,9 +573,9 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
         y, t = y_new, t_new
         steps += 1
         dt_lo, dt_hi = list(map(min, dt_lo, dts)), list(map(max, dt_hi, dts))
-        if ctrl.dt is None:
+        if auto:
             for counts, p in zip(tally, plain):
-                counts[p] += 1  # extrapolated or cfl-bound
+                counts[p] += 1  # extrapolated or reaction-bound
         np.minimum(lows, new_lows, out=lows)
         ended = [j for j, tj in enumerate(t) if tj == t_end and j not in errors]
         recorded = [j for j in (ended if steps % ctrl.output_every else range(len(live)))

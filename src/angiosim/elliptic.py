@@ -15,13 +15,15 @@ is represented by b = -mu.
 Every matrix is stored as W*A, W = diag(1/2, 1, ..., 1, 1/2) the
 trapezoid weights: a symmetric tridiagonal (d, e) pair, solved by the
 no-pivot LDL^T of LAPACK dpttrf/dpttrs, which exists exactly when W*A is
-positive definite. One factor serves many solves.
+positive definite. One factor serves many solves. The nonsymmetric
+tridiagonal u block of an auto-dt step (see dynamics) is solved by
+LAPACK dgtsv.
 
 LAPACK is loaded without the scipy.linalg package: importing that
 package costs about 0.3 s of a CLI call (scipy.linalg's own imports pull
 in numpy.f2py, numpy.testing and more), while the package needs only
-dpttrf and dpttrs. _ldlt_routines loads scipy's f2py extension
-linalg/_flapack by its file path and takes the two routines from it;
+dpttrf, dpttrs and dgtsv. _ldlt_routines loads scipy's f2py extension
+linalg/_flapack by its file path and takes the three routines from it;
 this is the very extension scipy.linalg.lapack wraps, so every factor
 and solve is the same compiled code. If that load fails for any reason,
 for example in a scipy whose layout has no such file, the routines come
@@ -46,8 +48,8 @@ __all__ = ["banded_rows", "factor"]
 _FLAPACK = "scipy.linalg._flapack"
 
 
-def _ldlt_routines() -> tuple[Callable, Callable]:
-    """LAPACK (dpttrf, dpttrs) from scipy's extension linalg/_flapack,
+def _ldlt_routines() -> tuple[Callable, Callable, Callable]:
+    """LAPACK (dpttrf, dpttrs, dgtsv) from scipy's extension linalg/_flapack,
     loaded by file path so that the scipy.linalg package is not
     imported; scipy.linalg.lapack's if that load fails."""
     try:
@@ -67,13 +69,13 @@ def _ldlt_routines() -> tuple[Callable, Callable]:
                 sys.modules.pop(_FLAPACK, None)
             else:
                 sys.modules[_FLAPACK] = held
-        return flapack.dpttrf, flapack.dpttrs
+        return flapack.dpttrf, flapack.dpttrs, flapack.dgtsv
     except Exception:  # whatever stopped the direct load, the public module serves
-        from scipy.linalg.lapack import dpttrf, dpttrs
-        return dpttrf, dpttrs
+        from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
+        return dpttrf, dpttrs, dgtsv
 
 
-dpttrf, dpttrs = _ldlt_routines()
+dpttrf, dpttrs, dgtsv = _ldlt_routines()
 
 
 def banded_rows(n: int, h: float, r: float, diag: float | np.ndarray,

@@ -103,12 +103,12 @@ def test_cfl_dt_zero_state(grid65, zero_V):
     # DT_SAFETY * 0.5 / max(|lam| + 2*max u, c*max u).
     zero, one = np.zeros(grid65.n), np.ones(grid65.n)
     decay_only = ModelParams(lam=0.0, mu=0.5, c=3.0, V=zero_V)
-    assert cfl_dt(zero, zero, grid65.h, decay_only) > 1e20
+    assert cfl_dt(zero, decay_only) > 1e20
     shrinking = ModelParams(lam=-3.0, mu=0.5, c=3.0, V=zero_V)
-    assert cfl_dt(zero, zero, grid65.h, shrinking) == pytest.approx(
+    assert cfl_dt(zero, shrinking) == pytest.approx(
         DT_SAFETY * 0.5 / 3.0, abs=1e-15)
     consuming = ModelParams(lam=0.0, mu=0.5, c=5.0, V=zero_V)
-    assert cfl_dt(one, zero, grid65.h, consuming) == pytest.approx(
+    assert cfl_dt(one, consuming) == pytest.approx(
         DT_SAFETY * 0.1, abs=1e-15)
 
 
@@ -131,21 +131,21 @@ def test_auto_dt_first_step_from_zero_density_is_bounded(grid65):
 
 def test_auto_dt_steps_share_factors(grid65, monkeypatch):
     # auto dt lies on the ladder 2**(k/DT_RUNGS), and a step doubling's
-    # dt/2 lies 16 rungs lower; a factor serves the step after the one
-    # that built it, so no dt is factored in two consecutive steps. Only
-    # the last step, clipped at t_end, leaves the ladder.
+    # dt/2 lies 16 rungs lower; a v-block factor serves the step after the
+    # one that built it, so no dt is factored in two consecutive steps.
+    # Only the last step, clipped at t_end, leaves the ladder.
     log = []  # ("factor", dt), or ("advance", start time, the dts of its factors)
-    factor_of, advance = angiosim.dynamics._step_factor, angiosim.dynamics._advance
+    factor_of, advance = angiosim.dynamics._v_factor, angiosim.dynamics._advance
 
     def counted_factor(n, h, dt):
         log.append(("factor", dt))
         return factor_of(n, h, dt)
 
-    def counted_advance(grid, cols, y, t, dts, factors):
+    def counted_advance(grid, cols, y, t, dts, factors, implicit):
         log.append(("advance", t[0], set(factors)))
-        return advance(grid, cols, y, t, dts, factors)
+        return advance(grid, cols, y, t, dts, factors, implicit)
 
-    monkeypatch.setattr(angiosim.dynamics, "_step_factor", counted_factor)
+    monkeypatch.setattr(angiosim.dynamics, "_v_factor", counted_factor)
     monkeypatch.setattr(angiosim.dynamics, "_advance", counted_advance)
     p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=saturating_power(2.0))
     traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
@@ -181,19 +181,10 @@ def test_dt_ladder_rounds_down_to_the_nearest_rung():
         assert rung(math.nextafter(x, 0.0)) == 2.0 ** ((k - 1) / rungs)
 
 
-def test_cfl_dt_halves_when_gradient_doubles(grid65):
-    p = ModelParams(lam=0.0, mu=0.0, c=1.0, V=saturating_power(2.0))
-    u = np.full(grid65.n, 0.5)
-    # gradients steep enough that the advective candidate is the binding one
-    dt1 = cfl_dt(u, 2.0 * grid65.nodes, grid65.h, p)
-    dt2 = cfl_dt(u, 4.0 * grid65.nodes, grid65.h, p)
-    assert dt1 / dt2 == pytest.approx(2.0, rel=1e-12)
-
-
 def test_cfl_dt_reaction_cap_scales(grid65, zero_V):
     p = ModelParams(lam=2.0, mu=0.0, c=1.0, V=zero_V)
     # max(lam + 2, 1 + 1) = 4
-    assert cfl_dt(np.ones(grid65.n), np.zeros(grid65.n), grid65.h, p) == pytest.approx(
+    assert cfl_dt(np.ones(grid65.n), p) == pytest.approx(
         DT_SAFETY * 0.125, abs=1e-15)
 
 
@@ -221,17 +212,59 @@ def _adversarial_states(grid):
                                     rng.uniform(0.0, 5.0), V)
 
 
-def test_cfl_dt_keeps_the_explicit_stage_nonnegative(grid65):
-    # The first four states are the worst cases of a bound by
-    # max|V'| * max|v_x|: u past V's inflection point, a V' = 0 plateau
-    # and v falling into the tumor node each sent u below zero in one
-    # stage (to -3.2, -25, -0.70 and -0.63). The rest are random, with
-    # zeros in u.
+# The first four states sent one explicit upwind stage below zero, to
+# -3.2, -25, -0.70 and -0.63, at a dt bounded by max|V'| * max|v_x|: u
+# past V's inflection point, a V' = 0 plateau and v falling into the
+# tumor node. The rest are random, with zeros in u.
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1.0, 1e3])
+def test_u_block_solve_keeps_nonnegative_data_nonnegative(grid65, dt):
+    # the implicit chemotaxis makes the u block an M-matrix for every dt
+    rng = np.random.default_rng(16)
     for u, v, p in _adversarial_states(grid65):
-        dt = cfl_dt(u, v, grid65.h, p)
-        div = chemotaxis_divergence(grid65, u, v, p)
-        assert (u + dt * (-div + p.lam * u - u * u)).min() >= 0.0
-        assert (v - dt * p.c * u * v).min() >= 0.0
+        for b in (u.copy(), rng.uniform(0.0, 1.0, grid65.n) * (u > 0.0)):
+            angiosim.dynamics._solve_u_block(grid65, u, v, p, dt, b)
+            assert np.isfinite(b).all() and b.min() >= 0.0
+
+
+def test_auto_dt_advance_at_cfl_dt_stays_nonnegative(grid65):
+    n = grid65.n
+    for u, v, p in _adversarial_states(grid65):
+        dt = cfl_dt(u, p)
+        y, lows, errors = angiosim.dynamics._advance(
+            grid65, p, np.concatenate((u, v)), [0.0], [dt],
+            {dt: angiosim.dynamics._v_factor(n, grid65.h, dt)}, True)
+        assert not errors and lows.min() >= 0.0 and y.min() >= 0.0
+
+
+@pytest.mark.parametrize("n", [65, 257])
+@pytest.mark.parametrize("k", [1, 3])
+def test_auto_dt_advance_keeps_the_mass_identity(n, k):
+    # h*sum(W*(x - u)) = dt*trapz(lam*u - u^2) - dt*(V(u_L)/u_L)*mu*v_L/(1+v_L)*x_L
+    # to round-off, which grows with n: the interior faces telescope, and
+    # the tumor face carries the new u_L
+    g = make_grid(1.0, n)
+    x = g.nodes
+    u = 0.5 + 0.4 * np.cos(3.0 * x)
+    v = 0.2 + x * x
+    V = saturating_power(2.0)
+    params = [ModelParams(lam=lam, mu=mu, c=2.0, V=V)
+              for lam, mu in ((0.7, 1.3), (-0.4, 5.0), (1.5, 0.2))[:k]]
+    dts = [0.05, 0.2, 0.05][:k]
+    y = np.concatenate((u, v))
+    cols = params[0]
+    if k > 1:
+        y, cols = np.asfortranarray(np.tile(y, (k, 1)).T), angiosim.dynamics._Columns.of(params)
+    factors = {dt: angiosim.dynamics._v_factor(n, g.h, dt) for dt in dts}
+    y_new, _, errors = angiosim.dynamics._advance(g, cols, y, [0.0] * k, dts, factors, True)
+    assert not errors
+    for j, (p, dt) in enumerate(zip(params, dts)):
+        x_new = y_new.reshape(2 * n, -1)[:n, j]
+        loss = p.V.V(u[-1]) / u[-1] * boundary_flux_v(p, v[-1]) * x_new[-1]
+        change = trapezoid(g.h, x_new) - trapezoid(g.h, u)
+        ledger = dt * trapezoid(g.h, p.lam * u - u * u) - dt * loss
+        assert abs(change - ledger) <= 4.0 * n * np.finfo(float).eps * trapezoid(g.h, u)
 
 
 def test_cfl_dt_of_a_batch_is_each_columns_bound(grid65):
@@ -240,20 +273,19 @@ def test_cfl_dt_of_a_batch_is_each_columns_bound(grid65):
         cols = [s for s in states if s[2].V is V][:8]
         u = np.asfortranarray(np.stack([s[0] for s in cols], axis=1))
         v = np.asfortranarray(np.stack([s[1] for s in cols], axis=1))
-        batch = cfl_dt(u, v, grid65.h, angiosim.dynamics._Columns.of([s[2] for s in cols]))
-        solo = [cfl_dt(*s[:2], grid65.h, s[2]) for s in cols]
+        batch = cfl_dt(u, angiosim.dynamics._Columns.of([s[2] for s in cols]))
+        solo = [cfl_dt(s[0], s[2]) for s in cols]
         assert batch.tolist() == solo
 
 
 def test_auto_dt_never_calls_v_prime(grid65):
-    # cfl_dt bounds dt by V(u)/u, the rate the upwind step drains a node
+    # the implicit upwind chemotaxis reads V(u)/u, and cfl_dt no V at all
     def no_derivative(s):
         raise AssertionError("V' was called")
 
     V = SensitivitySpec("no-derivative", saturating_power(2.0).V, no_derivative)
     p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=V)
-    u, v = np.full(grid65.n, 0.5), 0.5 + grid65.nodes**2
-    assert 0.0 < cfl_dt(u, v, grid65.h, p) < np.inf
+    assert 0.0 < cfl_dt(np.full(grid65.n, 0.5), p) < np.inf
     traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p, StepControl(t_end=1.0))
     assert traj.steps_cfl_bound + traj.steps_extrapolated == traj.steps_taken > 1
 

@@ -217,5 +217,5 @@ def test_ldlt_routines_fall_back_to_scipy_linalg_lapack(monkeypatch):
         raise ImportError("no such extension")
 
     monkeypatch.setattr(importlib.util, "spec_from_file_location", broken)
-    assert elliptic._ldlt_routines() == (lapack.dpttrf, lapack.dpttrs)
+    assert elliptic._ldlt_routines() == (lapack.dpttrf, lapack.dpttrs, lapack.dgtsv)
     assert calls  # the direct load was tried, and failed

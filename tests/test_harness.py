@@ -260,8 +260,8 @@ def test_sweep_matches_solo_runs_bitwise(dt, lams, mus):
 def test_auto_dt_batch_with_mixed_steps_matches_solo_runs(monkeypatch):
     # At TOL = 1e-4 the columns take different step kinds: the first and
     # last reject a step, the middle one does not, and only the last takes
-    # plain cfl-bound steps (its strong flux mu = 5 drains the tumor node
-    # fast enough to bound dt). Each still takes exactly its solo path.
+    # plain reaction-bound steps (its growth lam = 20 makes u large enough
+    # for cfl_dt to bound dt). Each still takes exactly its solo path.
     monkeypatch.setattr(dynamics, "TOL", 1e-4)
     g = make_grid(1.0, 65)
     ctrl = StepControl(t_end=2.0, output_every=4)
@@ -269,7 +269,7 @@ def test_auto_dt_batch_with_mixed_steps_matches_solo_runs(monkeypatch):
     v0 = const_field(g, 0.5)
     base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     params = [replace(base, lam=lam, mu=mu)
-              for lam, mu in ((0.3, 0.8), (0.0, 0.5), (0.0, 5.0))]
+              for lam, mu in ((0.3, 0.8), (0.0, 0.5), (20.0, 5.0))]
     counts = []
     for p, traj in zip(params, run_batch(u0, v0, params, ctrl)):
         solo = run(u0, v0, p, ctrl)
