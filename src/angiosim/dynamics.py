@@ -33,8 +33,9 @@ shrinks with dt. Any other step takes dt = a by step doubling: y1 from
 one step of dt, yh from two of dt/2, the second only if cfl_dt at the
 midpoint admits dt/2, which keeps auto dt nonnegative. If
 err = max|yh - y1| / (|yh| + ATOL) <= 2*TOL, it takes Richardson's
-second-order 2*yh - y1, or yh wherever that is negative, and proposes
-dt*min(2, 0.9*sqrt(TOL/err)) next. Else it is retried at dt/2, whose
+second-order 2*yh - y1 (linearly implicit Euler keeps an asymptotic
+expansion in dt: Hairer & Wanner, Solving ODEs II, IV.9), or yh wherever
+that is negative, and proposes dt*min(2, 0.9*sqrt(TOL/err)) next. Else it is retried at dt/2, whose
 full step is the first half step. dt is rounded down to a power of
 2**(1/DT_RUNGS), so that steps of nearly equal dt share one factor.
 

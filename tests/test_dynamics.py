@@ -196,6 +196,10 @@ def _falling_into_tumor(grid, mu, v_tumor):
 
 
 def _adversarial_states(grid):
+    # The first four states sent one explicit upwind stage below zero, to
+    # -3.2, -25, -0.70 and -0.63, at a dt bounded by max|V'| * max|v_x|:
+    # u past V's inflection point, a V' = 0 plateau and v falling into the
+    # tumor node. The rest are random, with zeros in u.
     x = grid.nodes
     kinked = 4.0 * np.maximum(x - 0.5, 0.0)  # flat on [0, 0.5], slope 4 beyond
     yield np.full(grid.n, 3.0), kinked, ModelParams(0.0, 0.0, 1.0, saturating_power(2.0))
@@ -212,12 +216,6 @@ def _adversarial_states(grid):
                                     rng.uniform(0.0, 5.0), V)
 
 
-# The first four states sent one explicit upwind stage below zero, to
-# -3.2, -25, -0.70 and -0.63, at a dt bounded by max|V'| * max|v_x|: u
-# past V's inflection point, a V' = 0 plateau and v falling into the
-# tumor node. The rest are random, with zeros in u.
-
-
 @pytest.mark.parametrize("dt", [1e-3, 1.0, 1e3])
 def test_u_block_solve_keeps_nonnegative_data_nonnegative(grid65, dt):
     # the implicit chemotaxis makes the u block an M-matrix for every dt
@@ -226,6 +224,23 @@ def test_u_block_solve_keeps_nonnegative_data_nonnegative(grid65, dt):
         for b in (u.copy(), rng.uniform(0.0, 1.0, grid65.n) * (u > 0.0)):
             angiosim.dynamics._solve_u_block(grid65, u, v, p, dt, b)
             assert np.isfinite(b).all() and b.min() >= 0.0
+
+
+def test_u_block_reproduces_the_explicit_upwind_flux_at_the_old_state(grid65):
+    # Taken at x = u, the implicit flux (V(u_up)/u_up)*x_up is the explicit
+    # V(u_up): the u block maps u to u + dt*(-d2/dx2)u + dt*chemotaxis_divergence,
+    # so solving with that right-hand side gives u back
+    n, h, dt = grid65.n, grid65.h, 0.1
+    d, e = banded_rows(n, h, 1.0 / (h * h), 0.0)  # W*(-d2/dx2)
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    for u, v, p in _adversarial_states(grid65):
+        laplace = d * u
+        laplace[1:] += e * u[:-1]
+        laplace[:-1] += e * u[1:]
+        b = u + dt * (laplace / w + chemotaxis_divergence(grid65, u, v, p))
+        angiosim.dynamics._solve_u_block(grid65, u, v, p, dt, b)
+        np.testing.assert_allclose(b, u, rtol=0.0, atol=1e-12 * (1.0 + u.max()))
 
 
 def test_auto_dt_advance_at_cfl_dt_stays_nonnegative(grid65):
