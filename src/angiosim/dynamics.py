@@ -11,19 +11,24 @@ and the outward flux v_x = mu*v/(1+v) at the tumor end.
 Scheme: IMEX Euler. Diffusion and the attractant's linear decay -v are
 implicit: the u block I + dt*(-d2/dx2) and the v block
 (1 + dt)*I + dt*(-d2/dx2), each with mirror rows (elliptic.banded_rows).
-The logistic term, -c*u*v and the tumor flux of v are explicit; the flux
-enters v's tumor-end row as the source (2*dt/h)*mu*v/(1+v) in
-[0, 2*dt*mu/h]. So the v block depends only on (n, h, dt) and is an
-M-matrix for every dt. A steady v with u = 0 solves the banded_rows rows
-with this flux, and steady.theta_mu solves those exactly, so theta_mu is
-a fixed point of the step for every dt.
+The logistic term and -c*u*v are explicit. The tumor flux
+f(v) = mu*v/(1+v) enters v's tumor-end row as the source (2*dt/h)*f.
 
-A fixed-dt step keeps the chemotaxis explicit: its blocks, joined by
-one zero entry into a 2n system, take one LDL^T solve, and a dt too
-large for the explicit terms raises PositivityError. An auto-dt step
-makes the chemotaxis linearly implicit in the new u (_solve_u_block), so
-its u block is a tridiagonal M-matrix for every dt, solved by dgtsv, and
-only the explicit reactions bound dt (cfl_dt) to keep u, v nonnegative.
+A fixed-dt step keeps the chemotaxis and f explicit. f(v_L) is then a
+source in [0, 2*dt*mu/h], so the v block depends only on (n, h, dt),
+and the blocks, joined by one zero entry into a 2n system, take one
+LDL^T solve; a dt too large for the explicit terms raises
+PositivityError. An auto-dt step makes both linearly implicit in the
+new state. Its u block carries the chemotaxis (_solve_u_block), a
+tridiagonal M-matrix for every dt, solved by dgtsv. Its v block carries
+f(v_L) + beta*(x_L - v_L), beta = min(f'(v_L), mu1) (_flux_slope), as
+the Robin row -dt*beta: a positive definite Z-matrix, so an M-matrix,
+for every dt, factored per column (_solve_v_block), while the explicit
+rest f(v_L) - beta*v_L is >= 0 as f is concave. So only the explicit
+reactions bound dt (cfl_dt) to keep u, v nonnegative. A steady v with
+u = 0 solves the banded_rows rows with the flux f, and steady.theta_mu
+solves those exactly, so theta_mu is a fixed point of either step for
+every dt.
 
 Auto dt departs from plain IMEX Euler where accuracy bounds the step
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4). A step whose cfl_dt
@@ -35,21 +40,21 @@ midpoint admits dt/2, which keeps auto dt nonnegative. If
 err = max|yh - y1| / (|yh| + ATOL) <= 2*TOL, it takes Richardson's
 second-order 2*yh - y1 (linearly implicit Euler keeps an asymptotic
 expansion in dt: Hairer & Wanner, Solving ODEs II, IV.9), or yh wherever
-that is negative, and proposes dt*min(2, 0.9*sqrt(TOL/err)) next. Else it is retried at dt/2, whose
-full step is the first half step. dt is rounded down to a power of
-2**(1/DT_RUNGS), so that steps of nearly equal dt share one factor.
+that is negative, and proposes dt*min(2, 0.9*sqrt(TOL/err)) next. Else
+it is retried at dt/2, whose full step is the first half step. dt is
+rounded down to a power of 2**(1/DT_RUNGS).
 
 One kernel, run_batch, steps k runs at once. They share the grid, the
 initial data, V and the step controls, but each has its own lam, mu and
 c. Their state is one Fortran-ordered (2n, k) array, u rows above v
 rows, one column per run: the layout in which dpttrs solves in place.
-So a step evaluates the explicit terms once on (n, k) arrays, and all
-columns that share a dt share one factor and one solve. Time control is
-per column: half steps run on the accuracy-bound columns only, and a
-column leaves the batch when it reaches t_end or its step fails. Each
-distinct dt has one factor, kept for the next step. One pass records
-the diagnostics of all columns due at a step. run is a batch of one,
-and step is one plain step of it.
+So a step evaluates the explicit terms once on (n, k) arrays. Under
+fixed dt all columns share one dt, one factor, kept for the run, and
+one solve; under auto dt the blocks are solved column by column. Time
+control is per column: half steps run on the accuracy-bound columns
+only, and a column leaves the batch when it reaches t_end or its step
+fails. One pass records the diagnostics of all columns due at a step.
+run is a batch of one, and step is one plain step of it.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -64,16 +69,18 @@ steps' terms less its full step's, unless it fell back to yh.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import banded_rows, dgtsv, factor
+from .elliptic import banded_rows, dgtsv, dpttrf, dpttrs, factor
 from .errors import PositivityError, SolverError
 from .grid import Field, Grid1D, l2_norm, make_field
 from .sensitivity import SensitivitySpec
+from .spectral import compute_mu1
 
 __all__ = [
     "ModelParams",
@@ -98,8 +105,8 @@ TOL = 1e-2  # error tolerance of an accuracy-bound auto-dt step, and its first d
 # absolute part of the error's scale; just above harness.FIT_FLOOR, so
 # any v a decay fit can still use keeps steering dt
 ATOL = 1e-12
-# auto dt is rounded down to a power 2**(k/DT_RUNGS), so that steps of
-# nearly equal dt share one factor
+# auto dt is rounded down to a power 2**(k/DT_RUNGS); this once let steps
+# of nearly equal dt share a factor, but no auto-dt factor outlives its advance
 DT_RUNGS = 16
 END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
 # the share of cfl_dt's raw reaction bound that a step may take: with it
@@ -244,9 +251,27 @@ def _step_factor(n: int, h: float, dt: float):
     return factor((np.concatenate((d_u, d_v)), np.concatenate((e_u, [0.0], e_v))))
 
 
-def _v_factor(n: int, h: float, dt: float):
-    """LDL^T factor of the v block (1 + dt)*I + dt*(-d2/dx2) of auto dt."""
-    return factor(banded_rows(n, h, dt / (h * h), 1.0 + dt))
+def _flux_slope(grid: Grid1D, cols: _Columns | ModelParams, v_tumor):
+    """beta of an auto-dt advance from the tumor value v_tumor, per column:
+    the slope mu/(1+v)^2 of the tumor flux, capped at mu1 so that the v
+    block stays positive definite. Written without a power, whose array
+    and scalar forms can differ in the last bit (see Trajectory)."""
+    return np.minimum(cols.mu / (1.0 + v_tumor) / (1.0 + v_tumor), compute_mu1(grid))
+
+
+def _solve_v_block(grid: Grid1D, dt, beta, b: np.ndarray) -> None:
+    """Overwrite b, the v rows of an auto-dt advance with flux slopes
+    beta, with x: W*((1 + dt)*I + dt*(-d2/dx2)) x = W*b, its tumor row
+    the Robin row robin = -dt*beta, each column factored by dpttrf. For
+    0 <= beta <= mu1, -d2/dx2 with the flux dw/dn = beta*w has its
+    smallest eigenvalue in [-1, 0], -1 at beta = mu1 (see spectral), so
+    the block's smallest W-eigenvalue is at least 1 for every dt."""
+    n, h = grid.n, grid.h
+    b[::n - 1] *= 0.5
+    columns = [(dt, beta, b)] if b.ndim == 1 else zip(dt.tolist(), beta.tolist(), b.T)
+    for dt_j, beta_j, b_j in columns:
+        d, e, _ = dpttrf(*banded_rows(n, h, dt_j / (h * h), 1.0 + dt_j, -dt_j * beta_j), True, True)
+        dpttrs(d, e, b_j, True)  # in place on b's column
 
 
 def _solve_u_block(grid: Grid1D, u: np.ndarray, v: np.ndarray, cols: _Columns | ModelParams,
@@ -276,13 +301,14 @@ def _solve_u_block(grid: Grid1D, u: np.ndarray, v: np.ndarray, cols: _Columns | 
 
 
 def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list, dts: list,
-             factors: dict, implicit: bool) -> tuple[np.ndarray, np.ndarray, dict]:
+             solve=None) -> tuple[np.ndarray, np.ndarray, dict]:
     """One IMEX Euler step of the batch y, column j from time t[j] by
     dts[j]. y is a (2n, k) array, or the (2n,) column of a batch of one,
-    whose cols is then a ModelParams (see run_batch). With implicit False
-    the chemotaxis is explicit and factors maps each distinct dt to its
-    _step_factor; with implicit True, an auto-dt step, _solve_u_block
-    solves the u rows and factors maps each dt to its _v_factor.
+    whose cols is then a ModelParams (see run_batch). A fixed-dt step
+    passes solve, the _step_factor of the dt all its columns share, and
+    keeps the chemotaxis and the tumor flux explicit. Without solve, an
+    auto-dt step, both are linearly implicit: _solve_u_block and
+    _solve_v_block solve the u and v rows.
 
     Returns the new batch, the minima of u and v per column as a (2, k)
     array, and the SolverError of each column whose step failed, by
@@ -294,7 +320,7 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     # u + dt*(lam*u - u^2), less dt*div where the chemotaxis is explicit,
     # and v - dt*c*u*v, rounded as written, with few temporaries alive at once
     g = cols.lam * u
-    if not implicit:
+    if solve:
         g -= chemotaxis_divergence(grid, u, v, cols)
     g -= u * u
     g *= dt
@@ -303,18 +329,20 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     g = np.multiply(dt * cols.c, u, out=g)
     g *= v
     np.subtract(v, g, out=rhs[n:])
-    # Explicit tumor-flux source: keeps the v block state-free.
-    rhs[-1] += 2.0 * dt / h * boundary_flux_v(cols, v[-1])
-    if implicit:
-        _solve_u_block(grid, u, v, cols, dt, rhs[:n])
-    head = n if implicit else 0  # the first row the factors solve
-    if len(factors) == 1:
-        (solve,) = factors.values()
-        rhs[head:] = solve(rhs[head:])  # a no-op copy where solve worked in place
+    # The tumor flux f(v_L) enters v's tumor row as the source
+    # (2*dt/h)*f(v_L). Fixed dt keeps it explicit, so its joint factor is
+    # state-free. Auto dt takes f(v_L) + beta*(x_L - v_L): its v block
+    # carries beta, and the explicit rest f(v_L) - beta*v_L is >= 0, as
+    # beta <= f'(v_L) <= f(v_L)/v_L.
+    flux = boundary_flux_v(cols, v[-1])
+    if solve:
+        rhs[-1] += 2.0 * dt / h * flux
+        rhs[:] = solve(rhs)  # a no-op copy where solve worked in place
     else:
-        for step_dt, solve in factors.items():
-            same = np.flatnonzero(dt == step_dt)
-            rhs[head:, same] = solve(rhs[head:, same])
+        beta = _flux_slope(grid, cols, v[-1])
+        rhs[-1] += 2.0 * dt / h * (flux - beta * v[-1])
+        _solve_u_block(grid, u, v, cols, dt, rhs[:n])
+        _solve_v_block(grid, dt, beta, rhs[n:])
     lows = rhs.reshape((n, 2, -1), order="F").min(axis=0)
     errors = {}
     if not (lows.min() >= POSITIVITY_HARD_LIMIT and rhs.max() < np.inf):
@@ -343,7 +371,7 @@ def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
         raise ValueError("step needs a fixed ctrl.dt; auto dt is run's")
     grid, n, dt = state.u.grid, state.u.grid.n, ctrl.dt
     y = np.concatenate((state.u.values, state.v.values))
-    y, _, errors = _advance(grid, p, y, [state.t], [dt], {dt: _step_factor(n, grid.h, dt)}, False)
+    y, _, errors = _advance(grid, p, y, [state.t], [dt], _step_factor(n, grid.h, dt))
     if errors:
         raise errors[0]
     return SimState(state.t + dt, make_field(grid, y[:n]), make_field(grid, y[n:]))
@@ -502,13 +530,8 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     steps = 0
     t_end, auto = ctrl.t_end, ctrl.dt is None
     slack = END_SLACK * t_end
-    factors, fresh = {}, {}  # by dt, the factors of the previous step and of this one
-
-    def factored(dts):
-        out = {dt: fresh.get(dt) or factors.get(dt)
-               or (_v_factor if auto else _step_factor)(n, h, dt) for dt in dict.fromkeys(dts)}
-        fresh.update(out)
-        return out
+    # fixed dt: the columns share t, so a step has one dt and one factor
+    factored = functools.cache(lambda dt: _step_factor(n, h, dt))
 
     def settle(j):
         traj = trajs[live[j]]
@@ -531,15 +554,15 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                 if tj > t_end + slack:
                     dts[j] = t_end - t[j]
                 t_new[j] = t_end
-        y_new, new_lows, errors = _advance(grid, cols, y, t, dts, factored(dts), auto)
+        y_new, new_lows, errors = _advance(grid, cols, y, t, dts,
+                                           None if auto else factored(dts[0]))
         acc = [j for j, p in enumerate(plain) if not p] if auto else []
         while acc:
             # two half steps, the second only from a midpoint cfl_dt admits;
             # a rejected column retries at dt/2, whose full step is the first
             ca = cols if len(acc) == m else cols.take(acc)
             half = [dts[j] / 2 for j in acc]
-            ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc],
-                                          half, factored(half), True)
+            ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half)
             errors = {acc[i]: error for i, error in failed.items()} | errors
             safe = np.reshape(cfl_dt(ym[:n], ca), -1).tolist()
             ok = [i for i, d in enumerate(half) if d <= safe[i]]
@@ -547,8 +570,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             if ok:
                 cb, hb = ca if len(ok) == len(acc) else ca.take(ok), [half[i] for i in ok]
                 yh, _, failed = _advance(grid, cb, _take(ym, ok, len(acc)),
-                                         [t[j] + d for j, d in zip(done, hb)], hb, factored(hb),
-                                         True)
+                                         [t[j] + d for j, d in zip(done, hb)], hb)
                 errors = {done[i]: error for i, error in failed.items()} | errors
                 y1 = _take(y_new, done, m)
                 err = dict(zip(done, np.reshape(
@@ -587,7 +609,6 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                     [trajs[live[j]] for j in recorded], [t[j] for j in recorded], keep_states)
         for j in ended:
             settle(j)
-        factors, fresh = fresh, {}
         if errors or ended:
             keep = [j for j in range(len(live)) if j not in errors and t[j] != t_end]
             if not keep:

@@ -15,9 +15,10 @@ is represented by b = -mu.
 Every matrix is stored as W*A, W = diag(1/2, 1, ..., 1, 1/2) the
 trapezoid weights: a symmetric tridiagonal (d, e) pair, solved by the
 no-pivot LDL^T of LAPACK dpttrf/dpttrs, which exists exactly when W*A is
-positive definite. One factor serves many solves. The nonsymmetric
-tridiagonal u block of an auto-dt step (see dynamics) is solved by
-LAPACK dgtsv.
+positive definite. One factor serves many solves; the v block of an
+auto-dt step (see dynamics) carries its state in the Robin row and is
+factored anew for each solve. The nonsymmetric tridiagonal u block of
+an auto-dt step is solved by LAPACK dgtsv.
 
 LAPACK is loaded without the scipy.linalg package: importing that
 package costs about 0.3 s of a CLI call (scipy.linalg's own imports pull
@@ -85,11 +86,12 @@ def banded_rows(n: int, h: float, r: float, diag: float | np.ndarray,
     Mirror rows close both ends; the Robin coefficient adds 2*robin/h to
     the tumor-end row. This is the one place the operator's rows are
     written: spectral's residual uses r = 1/h^2, the implicit diffusion
-    of a time step r = dt/h^2 with diag = 1 and robin = 0.
+    of a time step r = dt/h^2 with diag = 1 or 1 + dt, and the v block of
+    an auto-dt step the linearized tumor flux as robin = -dt*beta.
     """
-    d = np.full(n, 2.0 * r) + diag
+    d = np.full(n, 2.0 * r + diag)
     d[-1] += 2.0 * robin / h
-    d[[0, -1]] *= 0.5  # half-width boundary cells
+    d[::n - 1] *= 0.5  # half-width boundary cells
     return d, np.full(n - 1, -r)
 
 
