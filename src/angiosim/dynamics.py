@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import banded_rows, dgtsv, dpttrf, dpttrs, factor
-from .errors import PositivityError, SolverError
+from .errors import PositivityError, SolverError, SpectralShiftError
 from .grid import Field, Grid1D, l2_norm, make_field
 from .sensitivity import SensitivitySpec
 from .spectral import compute_mu1
@@ -105,8 +105,7 @@ TOL = 1e-2  # error tolerance of an accuracy-bound auto-dt step, and its first d
 # absolute part of the error's scale; just above harness.FIT_FLOOR, so
 # any v a decay fit can still use keeps steering dt
 ATOL = 1e-12
-# auto dt is rounded down to a power 2**(k/DT_RUNGS); this once let steps
-# of nearly equal dt share a factor, but no auto-dt factor outlives its advance
+# auto dt is rounded down to a power 2**(k/DT_RUNGS)
 DT_RUNGS = 16
 END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
 # the share of cfl_dt's raw reaction bound that a step may take: with it
@@ -259,19 +258,51 @@ def _flux_slope(grid: Grid1D, cols: _Columns | ModelParams, v_tumor):
     return np.minimum(cols.mu / (1.0 + v_tumor) / (1.0 + v_tumor), compute_mu1(grid))
 
 
-def _solve_v_block(grid: Grid1D, dt, beta, b: np.ndarray) -> None:
-    """Overwrite b, the v rows of an auto-dt advance with flux slopes
-    beta, with x: W*((1 + dt)*I + dt*(-d2/dx2)) x = W*b, its tumor row
-    the Robin row robin = -dt*beta, each column factored by dpttrf. For
+def _sum_error(a, b):
+    """(a + b) - fl(a + b), exactly (Knuth's TwoSum), elementwise."""
+    s = a + b
+    b_part = s - a
+    return (a - (s - b_part)) + (b - b_part)
+
+
+def _solve_v_block(grid: Grid1D, dt, beta, v: np.ndarray, b: np.ndarray) -> dict:
+    """Overwrite b, the v rows of an auto-dt advance from v with flux
+    slopes beta, with x: W*A x = W*(b + (A - A_exact) v). A is the block
+    (1 + dt)*I + dt*(-d2/dx2) with the Robin row robin = -dt*beta as
+    banded_rows rounds it, each column factored by dpttrf. For
     0 <= beta <= mu1, -d2/dx2 with the flux dw/dn = beta*w has its
     smallest eigenvalue in [-1, 0], -1 at beta = mu1 (see spectral), so
-    the block's smallest W-eigenvalue is at least 1 for every dt."""
+    the block's smallest W-eigenvalue is at least 1 for every dt.
+
+    Rounded, the diagonal 2*dt/h^2 + (1 + dt) drops the low bits of
+    1 + dt alike in every row: a bias of up to eps/h^2 in the decay rate,
+    which would shift the step's fixed point off theta_mu by as much
+    relative to it. A - A_exact is that rounding error, exact by
+    _sum_error (the Robin term's own rounding, in one row, shifts no
+    fixed point measurably), so x - v = A^-1 (b - A_exact v). It is below
+    eps*(2*dt/h^2 + 1 + dt) in size, and b >= 0.8*v under cfl_dt, so the
+    right-hand side stays nonnegative for dt < h^2/(4*eps).
+
+    Returns the SpectralShiftError of each column whose block did not
+    factor, by column; its x is NaN.
+    """
     n, h = grid.n, grid.h
+    r = dt / (h * h)
+    lost = _sum_error(2.0 * r, 1.0 + dt) + _sum_error(1.0, dt)  # of banded_rows' 2*r + (1 + dt)
+    b -= lost * v
     b[::n - 1] *= 0.5
     columns = [(dt, beta, b)] if b.ndim == 1 else zip(dt.tolist(), beta.tolist(), b.T)
-    for dt_j, beta_j, b_j in columns:
-        d, e, _ = dpttrf(*banded_rows(n, h, dt_j / (h * h), 1.0 + dt_j, -dt_j * beta_j), True, True)
-        dpttrs(d, e, b_j, True)  # in place on b's column
+    errors = {}
+    for j, (dt_j, beta_j, b_j) in enumerate(columns):
+        d, e, info = dpttrf(*banded_rows(n, h, dt_j / (h * h), 1.0 + dt_j, -dt_j * beta_j),
+                            True, True)
+        if info:
+            b_j[:] = np.nan
+            errors[j] = SpectralShiftError(
+                f"the v block of dt={dt_j:g} is not positive definite (minor {info})")
+        else:
+            dpttrs(d, e, b_j, True)  # in place on b's column
+    return errors
 
 
 def _solve_u_block(grid: Grid1D, u: np.ndarray, v: np.ndarray, cols: _Columns | ModelParams,
@@ -335,6 +366,7 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     # carries beta, and the explicit rest f(v_L) - beta*v_L is >= 0, as
     # beta <= f'(v_L) <= f(v_L)/v_L.
     flux = boundary_flux_v(cols, v[-1])
+    errors = {}
     if solve:
         rhs[-1] += 2.0 * dt / h * flux
         rhs[:] = solve(rhs)  # a no-op copy where solve worked in place
@@ -342,14 +374,15 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
         beta = _flux_slope(grid, cols, v[-1])
         rhs[-1] += 2.0 * dt / h * (flux - beta * v[-1])
         _solve_u_block(grid, u, v, cols, dt, rhs[:n])
-        _solve_v_block(grid, dt, beta, rhs[n:])
+        errors = _solve_v_block(grid, dt, beta, v, rhs[n:])
     lows = rhs.reshape((n, 2, -1), order="F").min(axis=0)
-    errors = {}
     if not (lows.min() >= POSITIVITY_HARD_LIMIT and rhs.max() < np.inf):
         finite = np.isfinite(rhs.reshape(2 * n, -1)).all(axis=0)
         low = lows.min(axis=0)
         for j in np.flatnonzero(~finite | (low < POSITIVITY_HARD_LIMIT)):
             t_new = t[j] + dts[j]
+            if j in errors:
+                continue
             if not finite[j]:
                 errors[j] = SolverError(f"density became non-finite at t={t_new:g}: "
                                         "an explicit term overflowed")

@@ -18,7 +18,8 @@ class SolverError(RuntimeError):
 
 
 class SpectralShiftError(SolverError):
-    """elliptic.factor refused a matrix that is not positive definite."""
+    """A matrix that must be positive definite is not: refused by
+    elliptic.factor, or the v block of an auto-dt step (dynamics)."""
 
 
 class PositivityError(SolverError):

@@ -21,7 +21,7 @@ from angiosim.dynamics import (
     write_trajectory_csv,
 )
 from angiosim.elliptic import banded_rows, dpttrf, factor
-from angiosim.errors import PositivityError, SolverError
+from angiosim.errors import PositivityError, SolverError, SpectralShiftError
 from angiosim.grid import const_field, l2_norm, make_field, make_grid, trapezoid
 from angiosim.harness import fit_decay
 from angiosim.sensitivity import SensitivitySpec, saturating_power, truncated_linear
@@ -159,10 +159,23 @@ def test_auto_dt_v_block_caps_the_flux_slope_at_mu1(grid65, dt):
     for b in (np.full(n, 1e-6), rng.uniform(0.0, 1.0, n),
               rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.3)):
         x = b.copy()
-        angiosim.dynamics._solve_v_block(grid65, dt, beta, x)
+        assert not angiosim.dynamics._solve_v_block(grid65, dt, beta, b, x)
         assert np.isfinite(x).all() and x.min() >= 0.0
         np.testing.assert_allclose(times_block(x), w * b, rtol=0.0,
                                    atol=16.0 * scale * (1.0 + x.max()))
+
+
+def test_auto_dt_v_block_that_does_not_factor_fails_its_column(grid65, monkeypatch):
+    # an uncapped flux slope of 50 makes the v block of dt = 1 indefinite;
+    # the column with mu = 0.5 still steps
+    monkeypatch.setattr(angiosim.dynamics, "compute_mu1", lambda grid: np.inf)
+    n = grid65.n
+    V = saturating_power(2.0)
+    params = [ModelParams(lam=0.0, mu=mu, c=1.0, V=V) for mu in (50.0, 0.5)]
+    y = np.asfortranarray(np.tile(np.concatenate((np.zeros(n), np.full(n, 1e-6))), (2, 1)).T)
+    _, _, errors = angiosim.dynamics._advance(
+        grid65, angiosim.dynamics._Columns.of(params), y, [0.0, 0.0], [1.0, 1.0])
+    assert list(errors) == [0] and isinstance(errors[0], SpectralShiftError)
 
 
 def test_dt_ladder_rounds_down_to_the_nearest_rung():
@@ -538,8 +551,8 @@ def test_auto_dt_stays_on_theta(grid65):
     # the full step and both half steps fix theta_mu, and so does their
     # extrapolation; with u = 0 every step is accuracy-bound, and the
     # error estimate is round-off, so dt doubles each step. Extrapolation
-    # scales the round-off by up to 3: at most 1.0e-12 here (8.6e-13 with
-    # an explicit tumor flux), 2.3e-13 over 2000 fixed steps of 0.05.
+    # scales the round-off by up to 3: 1.8e-13 here, 2.3e-13 over 2000
+    # fixed steps of 0.05.
     theta = theta_mu(grid65, 1.2)
     p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
     traj = run(const_field(grid65, 0.0), theta, p, StepControl(t_end=100.0, output_every=1))
@@ -548,7 +561,7 @@ def test_auto_dt_stays_on_theta(grid65):
     assert traj.steps_rejected == traj.steps_cfl_bound == 0
     for state in traj.states:
         assert np.all(state.u.values == 0.0)
-        assert np.abs(state.v.values - theta.values).max() <= 2e-12
+        assert np.abs(state.v.values - theta.values).max() <= 1e-12
 
 
 def test_snapshot_schedule_and_diagnostics(grid65):
