@@ -343,7 +343,8 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
 
     Returns the new batch, the minima of u and v per column as a (2, k)
     array, and the SolverError of each column whose step failed, by
-    column: non-finite values, or a density below POSITIVITY_HARD_LIMIT.
+    column: a v block that did not factor, non-finite values, or a
+    density below POSITIVITY_HARD_LIMIT.
     """
     n, h = grid.n, grid.h
     u, v = y[:n], y[n:]
@@ -380,9 +381,9 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
         finite = np.isfinite(rhs.reshape(2 * n, -1)).all(axis=0)
         low = lows.min(axis=0)
         for j in np.flatnonzero(~finite | (low < POSITIVITY_HARD_LIMIT)):
-            t_new = t[j] + dts[j]
-            if j in errors:
+            if j in errors:  # its v block did not factor
                 continue
+            t_new = t[j] + dts[j]
             if not finite[j]:
                 errors[j] = SolverError(f"density became non-finite at t={t_new:g}: "
                                         "an explicit term overflowed")
