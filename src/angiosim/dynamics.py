@@ -42,7 +42,9 @@ second-order 2*yh - y1 (linearly implicit Euler keeps an asymptotic
 expansion in dt: Hairer & Wanner, Solving ODEs II, IV.9), or yh wherever
 that is negative, and proposes dt*min(2, 0.9*sqrt(TOL/err)) next. Else
 it is retried at dt/2, whose full step is the first half step. dt is
-rounded down to a power of 2**(1/DT_RUNGS).
+rounded down to a power of 2**(1/DT_RUNGS). The full step and the first
+half step start from one state, so they share its dt-free terms
+(_state_terms), evaluated once per step.
 
 One kernel, run_batch, steps k runs at once. They share the grid, the
 initial data, V and the step controls, but each has its own lam, mu and
@@ -73,6 +75,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,25 +308,57 @@ def _solve_v_block(grid: Grid1D, dt, beta, v: np.ndarray, b: np.ndarray) -> dict
     return errors
 
 
-def _solve_u_block(grid: Grid1D, u: np.ndarray, v: np.ndarray, cols: _Columns | ModelParams,
-                   dt, b: np.ndarray) -> None:
-    """Overwrite b, the u rows of an auto-dt advance from (u, v), with x:
-    W*(I + dt*(-d2/dx2) + dt*C) x = W*b. C x is the divergence of the
-    upwind flux of chemotaxis_divergence with V(u_up) replaced by
-    (V(u_up)/u_up)*x_up, and V(u)/u is 0 where u <= 0. The face factor
-    a = dt*(V/u)_up*dv/h^2 is > 0 exactly where the left node is upwind."""
-    n, h = grid.n, grid.h
+class _Terms(NamedTuple):
+    """The dt-free terms of an auto-dt advance from a batch (u, v), per
+    column: growth = lam*u - u*u, drift = (V(u)/u)_up*dv on each face
+    with the upwind node's V(u)/u (0 where u <= 0), rate_L = V(u_L)/u_L,
+    flux = f(v_L), beta = _flux_slope and rest = flux - beta*v_L. A full
+    step and the first half step from one state share them (run_batch)."""
+
+    growth: np.ndarray
+    drift: np.ndarray
+    rate_L: np.ndarray
+    flux: np.ndarray
+    beta: np.ndarray
+    rest: np.ndarray
+
+    def take(self, keep: list, m: int) -> _Terms:
+        """The terms of the columns keep of an m-column batch."""
+        if len(keep) == m:
+            return self
+        return _Terms(*(np.asfortranarray(a[:, keep]) for a in self[:2]),
+                      *(a[keep] for a in self[2:]))
+
+
+def _state_terms(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray) -> _Terms:
+    """The _Terms of an auto-dt advance of the batch y."""
+    n = grid.n
+    u, v = y[:n], y[n:]
     rate = np.divide(cols.V.V(u), u, out=np.zeros(u.shape, order="F"), where=u > 0.0)
     dv = v[1:] - v[:-1]
+    growth = cols.lam * u
+    growth -= u * u
+    flux, beta = boundary_flux_v(cols, v[-1]), _flux_slope(grid, cols, v[-1])
+    return _Terms(growth, np.where(dv > 0.0, rate[:-1], rate[1:]) * dv, rate[-1],
+                  flux, beta, flux - beta * v[-1])
+
+
+def _solve_u_block(grid: Grid1D, terms: _Terms, dt, b: np.ndarray) -> None:
+    """Overwrite b, the u rows of an auto-dt advance from a state with
+    the _Terms terms, with x: W*(I + dt*(-d2/dx2) + dt*C) x = W*b. C x is
+    the divergence of the upwind flux of chemotaxis_divergence with
+    V(u_up) replaced by (V(u_up)/u_up)*x_up. The face factor
+    a = dt*drift/h^2 is > 0 exactly where the left node is upwind."""
+    n, h = grid.n, grid.h
     r = dt / (h * h)
-    a = np.where(dv > 0.0, rate[:-1], rate[1:]) * dv * r  # V(u)/u at the upwind node
+    a = terms.drift * r
     lower, upper = np.maximum(a, 0.0), np.minimum(a, 0.0)
-    d = np.empty_like(u)
+    d = np.empty_like(b)
     d[...] = 1.0 + 2.0 * r
     d[::n - 1] *= 0.5  # W*(I + dt*(-d2/dx2)); the rows of W*C follow
     d[:-1] += lower
     d[1:] -= upper
-    d[-1] += dt / h * rate[-1] * boundary_flux_v(cols, v[-1])
+    d[-1] += dt / h * terms.rate_L * terms.flux
     lower, upper = -r - lower, upper - r
     b[::n - 1] *= 0.5
     columns = [(lower, d, upper, b)] if b.ndim == 1 else zip(lower.T, d.T, upper.T, b.T)
@@ -332,14 +367,15 @@ def _solve_u_block(grid: Grid1D, u: np.ndarray, v: np.ndarray, cols: _Columns | 
 
 
 def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list, dts: list,
-             solve=None) -> tuple[np.ndarray, np.ndarray, dict]:
+             solve=None, terms: _Terms | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
     """One IMEX Euler step of the batch y, column j from time t[j] by
     dts[j]. y is a (2n, k) array, or the (2n,) column of a batch of one,
     whose cols is then a ModelParams (see run_batch). A fixed-dt step
     passes solve, the _step_factor of the dt all its columns share, and
     keeps the chemotaxis and the tumor flux explicit. Without solve, an
     auto-dt step, both are linearly implicit: _solve_u_block and
-    _solve_v_block solve the u and v rows.
+    _solve_v_block solve the u and v rows, from terms, the _state_terms
+    of y, computed here unless given.
 
     Returns the new batch, the minima of u and v per column as a (2, k)
     array, and the SolverError of each column whose step failed, by
@@ -351,11 +387,15 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     dt = np.array(dts) if y.ndim == 2 else dts[0]
     # u + dt*(lam*u - u^2), less dt*div where the chemotaxis is explicit,
     # and v - dt*c*u*v, rounded as written, with few temporaries alive at once
-    g = cols.lam * u
     if solve:
+        g = cols.lam * u
         g -= chemotaxis_divergence(grid, u, v, cols)
-    g -= u * u
-    g *= dt
+        g -= u * u
+        g *= dt
+    else:
+        if terms is None:
+            terms = _state_terms(grid, cols, y)
+        g = terms.growth * dt
     rhs = np.empty_like(y)
     np.add(u, g, out=rhs[:n])
     g = np.multiply(dt * cols.c, u, out=g)
@@ -366,16 +406,14 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     # state-free. Auto dt takes f(v_L) + beta*(x_L - v_L): its v block
     # carries beta, and the explicit rest f(v_L) - beta*v_L is >= 0, as
     # beta <= f'(v_L) <= f(v_L)/v_L.
-    flux = boundary_flux_v(cols, v[-1])
     errors = {}
     if solve:
-        rhs[-1] += 2.0 * dt / h * flux
+        rhs[-1] += 2.0 * dt / h * boundary_flux_v(cols, v[-1])
         rhs[:] = solve(rhs)  # a no-op copy where solve worked in place
     else:
-        beta = _flux_slope(grid, cols, v[-1])
-        rhs[-1] += 2.0 * dt / h * (flux - beta * v[-1])
-        _solve_u_block(grid, u, v, cols, dt, rhs[:n])
-        errors = _solve_v_block(grid, dt, beta, v, rhs[n:])
+        rhs[-1] += 2.0 * dt / h * terms.rest
+        _solve_u_block(grid, terms, dt, rhs[:n])
+        errors = _solve_v_block(grid, dt, terms.beta, v, rhs[n:])
     lows = rhs.reshape((n, 2, -1), order="F").min(axis=0)
     if not (lows.min() >= POSITIVITY_HARD_LIMIT and rhs.max() < np.inf):
         finite = np.isfinite(rhs.reshape(2 * n, -1)).all(axis=0)
@@ -588,15 +626,18 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                 if tj > t_end + slack:
                     dts[j] = t_end - t[j]
                 t_new[j] = t_end
+        # auto dt: the full step and every first half step from y share its terms
+        terms = _state_terms(grid, cols, y) if auto else None
         y_new, new_lows, errors = _advance(grid, cols, y, t, dts,
-                                           None if auto else factored(dts[0]))
+                                           None if auto else factored(dts[0]), terms)
         acc = [j for j, p in enumerate(plain) if not p] if auto else []
         while acc:
             # two half steps, the second only from a midpoint cfl_dt admits;
             # a rejected column retries at dt/2, whose full step is the first
             ca = cols if len(acc) == m else cols.take(acc)
             half = [dts[j] / 2 for j in acc]
-            ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half)
+            ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
+                                          terms=terms.take(acc, m))
             errors = {acc[i]: error for i, error in failed.items()} | errors
             safe = np.reshape(cfl_dt(ym[:n], ca), -1).tolist()
             ok = [i for i, d in enumerate(half) if d <= safe[i]]
@@ -610,8 +651,12 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                 err = dict(zip(done, np.reshape(
                     (np.abs(yh - y1) / (np.abs(yh) + ATOL)).max(axis=0), -1).tolist()))
                 x = _extrapolate(y1, yh)
-                y_new.reshape(2 * n, -1)[:, done] = x.reshape(2 * n, -1)
-                new_lows[:, done] = x.reshape((n, 2, -1), order="F").min(axis=0)
+                x_lows = x.reshape((n, 2, -1), order="F").min(axis=0)
+                if len(done) == m:
+                    y_new, new_lows = x, x_lows
+                else:
+                    y_new.reshape(2 * n, -1)[:, done] = x.reshape(2 * n, -1)
+                    new_lows[:, done] = x_lows
             for i, j in enumerate(acc):
                 e = err.get(j, math.inf)  # inf: the midpoint check failed
                 if e <= 2.0 * TOL:
@@ -621,8 +666,9 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                     tally[j][2] += 1
                     dts[j], t_new[j] = half[i], t[j] + half[i]
             acc = [acc[i] for i in retry]
-            y_new.reshape(2 * n, -1)[:, acc] = ym.reshape(2 * n, -1)[:, retry]
-            new_lows[:, acc] = lows_m[:, retry]
+            if acc:
+                y_new.reshape(2 * n, -1)[:, acc] = ym.reshape(2 * n, -1)[:, retry]
+                new_lows[:, acc] = lows_m[:, retry]
         for j, error in errors.items():
             settle(j)
             error.trajectory = trajs[live[j]]
