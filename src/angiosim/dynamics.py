@@ -16,19 +16,18 @@ f(v) = mu*v/(1+v) enters v's tumor-end row as the source (2*dt/h)*f.
 
 A fixed-dt step keeps the chemotaxis and f explicit. f(v_L) is then a
 source in [0, 2*dt*mu/h], so the v block depends only on (n, h, dt),
-and the blocks, joined by one zero entry into a 2n system, take one
-LDL^T solve; a dt too large for the explicit terms raises
-PositivityError. An auto-dt step makes both linearly implicit in the
-new state. Its u block carries the chemotaxis (_solve_u_block), a
-tridiagonal M-matrix for every dt, solved by dgtsv. Its v block carries
-f(v_L) + beta*(x_L - v_L), beta = min(f'(v_L), mu1) (_flux_slope), as
-the Robin row -dt*beta: a positive definite Z-matrix, so an M-matrix,
-for every dt, factored per column (_solve_v_block), while the explicit
-rest f(v_L) - beta*v_L is >= 0 as f is concave. So only the explicit
-reactions bound dt (cfl_dt) to keep u, v nonnegative. A steady v with
-u = 0 solves the banded_rows rows with the flux f, and steady.theta_mu
-solves those exactly, so theta_mu is a fixed point of either step for
-every dt.
+and each block takes one LDL^T solve with its own factor; a dt too
+large for the explicit terms raises PositivityError. An auto-dt step
+makes both linearly implicit in the new state. Its u block carries the
+chemotaxis (_solve_u_block), a tridiagonal M-matrix for every dt,
+solved by dgtsv. Its v block carries f(v_L) + beta*(x_L - v_L),
+beta = min(f'(v_L), mu1) (_flux_slope), as the Robin row -dt*beta:
+a positive definite Z-matrix, so an M-matrix, for every dt, factored
+per column (_solve_v_block), while the explicit rest f(v_L) - beta*v_L
+is >= 0 as f is concave. So only the explicit reactions bound dt
+(cfl_dt) to keep u, v nonnegative. A steady v with u = 0 solves the
+banded_rows rows with the flux f, and steady.theta_mu solves those
+exactly, so theta_mu is a fixed point of either step for every dt.
 
 Auto dt departs from plain IMEX Euler where accuracy bounds the step
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4). A step whose cfl_dt
@@ -48,11 +47,14 @@ half step start from one state, so they share its dt-free terms
 
 One kernel, run_batch, steps k runs at once. They share the grid, the
 initial data, V and the step controls, but each has its own lam, mu and
-c. Their state is one Fortran-ordered (2n, k) array, u rows above v
-rows, one column per run: the layout in which dpttrs solves in place.
-So a step evaluates the explicit terms once on (n, k) arrays. Under
-fixed dt all columns share one dt, one factor, kept for the run, and
-one solve; under auto dt the blocks are solved column by column. Time
+c. Their state is one Fortran-ordered (n, 2k) array: the k u columns,
+then the k v columns, one of each per run. Each block is then one
+contiguous n*k vector (_blocks), in which dpttrs solves in place and
+the fixed-dt stencil takes one 1-D pass per stage. So a step evaluates
+the explicit terms once per block. A batch of one keeps its (2n,)
+vector, u above v: the same memory. Under fixed dt all columns share
+one dt and one factor per block, kept for the run, and one solve per
+block; under auto dt the blocks are solved column by column. Time
 control is per column: half steps run on the accuracy-bound columns
 only, and a column leaves the batch when it reaches t_end or its step
 fails. One pass records the diagnostics of all columns due at a step.
@@ -211,21 +213,35 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
     across the face). The vessel-end face flux is zero; the tumor-end
     face uses v's boundary flux value so u's mass bookkeeping closes.
     Cell widths are h inside and h/2 at the boundary nodes.
+
+    The columns are taken end to end as one flat vector, a view of the
+    Fortran-ordered blocks of run_batch, so each stage is one 1-D pass.
+    The k - 1 faces across column seams are computed but never used: no
+    seam face picks the next column's u, and the end rows of every
+    column are written apart.
     """
-    h = grid.h
+    h, n, shape = grid.h, len(u), u.shape
+    # the vessel node, tumor node and tumor-side face of each column;
+    # scalars for a single column, whose arithmetic costs less
+    vessel, tumor, tumor_face = ((0, n - 1, n - 2) if u.ndim == 1
+                                 else (np.s_[::n], np.s_[n - 1::n], np.s_[n - 2::n]))
+    u, v = u.ravel(order="F"), v.ravel(order="F")
     dv = v[1:] - v[:-1]
-    # upwind u of each face (v mostly rises, so few take u[i+1]), then the tumor node
-    u_up = np.copy(u, order="K")
-    np.copyto(u_up[:-1], u[1:], where=dv <= 0.0)
+    # upwind u of each face (v mostly rises, so few take u[i+1]); each
+    # column's tumor node, before a seam, keeps its own
+    right = dv <= 0.0
+    right[n - 1::n] = False
+    u_up = u.copy()
+    np.copyto(u_up[:-1], u[1:], where=right)
     vu = np.asarray(p.V.V(u_up))
     j = np.multiply(vu[:-1], dv, out=dv)  # the face fluxes, in place of dv
     j /= h
     div = np.empty_like(u)
-    div[0] = j[0] / (0.5 * h)
     np.subtract(j[1:], j[:-1], out=div[1:-1])
     div[1:-1] /= h
-    div[-1] = (vu[-1] * boundary_flux_v(p, v[-1]) - j[-1]) / (0.5 * h)
-    return div
+    div[vessel] = j[vessel] / (0.5 * h)
+    div[tumor] = (vu[tumor] * boundary_flux_v(p, v[tumor]) - j[tumor_face]) / (0.5 * h)
+    return div.reshape(shape, order="F")
 
 
 def cfl_dt(u: np.ndarray, p: ModelParams):
@@ -245,12 +261,34 @@ def cfl_dt(u: np.ndarray, p: ModelParams):
 
 
 def _step_factor(n: int, h: float, dt: float):
-    """LDL^T factor of a fixed-dt step: the u block I + dt*(-d2/dx2) and
-    the v block (1 + dt)*I + dt*(-d2/dx2), joined by one zero entry."""
+    """The LDL^T factors of a fixed-dt step, as the solves of its u block
+    I + dt*(-d2/dx2) and its v block (1 + dt)*I + dt*(-d2/dx2)."""
     r = dt / (h * h)
-    d_u, e_u = banded_rows(n, h, r, 1.0)
-    d_v, e_v = banded_rows(n, h, r, 1.0 + dt)
-    return factor((np.concatenate((d_u, d_v)), np.concatenate((e_u, [0.0], e_v))))
+    return factor(banded_rows(n, h, r, 1.0)), factor(banded_rows(n, h, r, 1.0 + dt))
+
+
+def _blocks(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The u and v blocks of the batch y: the (n,) halves of a batch of
+    one's (2n,) vector, else the (n, k) halves of its (n, 2k) array."""
+    if y.ndim == 1:
+        return y[:n], y[n:]
+    k = y.shape[1] // 2
+    return y[:, :k], y[:, k:]
+
+
+def _per_column(y: np.ndarray, n: int) -> np.ndarray:
+    """The batch y as its (n, 2k) array, a view: (n, 2) for a batch of one."""
+    return y.reshape((n, -1), order="F")
+
+
+def _lows(y: np.ndarray, n: int) -> np.ndarray:
+    """The minima of u and v per run of the batch y, as a (2, k) array."""
+    return _per_column(y, n).min(axis=0).reshape(2, -1)
+
+
+def _pair(keep: list, m: int) -> list:
+    """The u and v columns, in a (n, 2m) array, of the runs keep of a batch of m."""
+    return keep + [m + j for j in keep]
 
 
 def _flux_slope(grid: Grid1D, cols: _Columns | ModelParams, v_tumor):
@@ -332,8 +370,7 @@ class _Terms(NamedTuple):
 
 def _state_terms(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray) -> _Terms:
     """The _Terms of an auto-dt advance of the batch y."""
-    n = grid.n
-    u, v = y[:n], y[n:]
+    u, v = _blocks(y, grid.n)
     rate = np.divide(cols.V.V(u), u, out=np.zeros(u.shape, order="F"), where=u > 0.0)
     dv = v[1:] - v[:-1]
     growth = cols.lam * u
@@ -367,27 +404,29 @@ def _solve_u_block(grid: Grid1D, terms: _Terms, dt, b: np.ndarray) -> None:
 
 
 def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list, dts: list,
-             solve=None, terms: _Terms | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
+             solves=None, terms: _Terms | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
     """One IMEX Euler step of the batch y, column j from time t[j] by
-    dts[j]. y is a (2n, k) array, or the (2n,) column of a batch of one,
-    whose cols is then a ModelParams (see run_batch). A fixed-dt step
-    passes solve, the _step_factor of the dt all its columns share, and
-    keeps the chemotaxis and the tumor flux explicit. Without solve, an
-    auto-dt step, both are linearly implicit: _solve_u_block and
-    _solve_v_block solve the u and v rows, from terms, the _state_terms
-    of y, computed here unless given.
+    dts[j]. y is a Fortran-ordered (n, 2k) array, the k u columns before
+    the k v columns, or the (2n,) vector of a batch of one, whose cols is
+    then a ModelParams (see run_batch). A fixed-dt step passes solves,
+    the _step_factor of the dt all its columns share, and keeps the
+    chemotaxis and the tumor flux explicit. Without solves, an auto-dt
+    step, both are linearly implicit: _solve_u_block and _solve_v_block
+    solve the u and v blocks, from terms, the _state_terms of y, computed
+    here unless given.
 
-    Returns the new batch, the minima of u and v per column as a (2, k)
-    array, and the SolverError of each column whose step failed, by
-    column: a v block that did not factor, non-finite values, or a
-    density below POSITIVITY_HARD_LIMIT.
+    Returns the new batch, in y's layout, the minima of u and v per
+    column as a (2, k) array, and the SolverError of each column whose
+    step failed, by column: a v block that did not factor, non-finite
+    values, or a density below POSITIVITY_HARD_LIMIT.
     """
     n, h = grid.n, grid.h
-    u, v = y[:n], y[n:]
-    dt = np.array(dts) if y.ndim == 2 else dts[0]
+    u, v = _blocks(y, n)
+    # fixed dt: all columns share one dt, the dt of solves
+    dt = np.array(dts) if y.ndim == 2 and not solves else dts[0]
     # u + dt*(lam*u - u^2), less dt*div where the chemotaxis is explicit,
     # and v - dt*c*u*v, rounded as written, with few temporaries alive at once
-    if solve:
+    if solves:
         g = cols.lam * u
         g -= chemotaxis_divergence(grid, u, v, cols)
         g -= u * u
@@ -396,27 +435,30 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
         if terms is None:
             terms = _state_terms(grid, cols, y)
         g = terms.growth * dt
-    rhs = np.empty_like(y)
-    np.add(u, g, out=rhs[:n])
+    # Fortran order, so that its blocks are contiguous and solved in place
+    rhs = np.empty_like(y, order="F")
+    rhs_u, rhs_v = _blocks(rhs, n)
+    np.add(u, g, out=rhs_u)
     g = np.multiply(dt * cols.c, u, out=g)
     g *= v
-    np.subtract(v, g, out=rhs[n:])
+    np.subtract(v, g, out=rhs_v)
     # The tumor flux f(v_L) enters v's tumor row as the source
-    # (2*dt/h)*f(v_L). Fixed dt keeps it explicit, so its joint factor is
+    # (2*dt/h)*f(v_L). Fixed dt keeps it explicit, so its v factor is
     # state-free. Auto dt takes f(v_L) + beta*(x_L - v_L): its v block
     # carries beta, and the explicit rest f(v_L) - beta*v_L is >= 0, as
     # beta <= f'(v_L) <= f(v_L)/v_L.
     errors = {}
-    if solve:
-        rhs[-1] += 2.0 * dt / h * boundary_flux_v(cols, v[-1])
-        rhs[:] = solve(rhs)  # a no-op copy where solve worked in place
+    if solves:
+        rhs_v[-1] += 2.0 * dt / h * boundary_flux_v(cols, v[-1])
+        for solve, block in zip(solves, (rhs_u, rhs_v)):
+            solve(block)
     else:
-        rhs[-1] += 2.0 * dt / h * terms.rest
-        _solve_u_block(grid, terms, dt, rhs[:n])
-        errors = _solve_v_block(grid, dt, terms.beta, v, rhs[n:])
-    lows = rhs.reshape((n, 2, -1), order="F").min(axis=0)
+        rhs_v[-1] += 2.0 * dt / h * terms.rest
+        _solve_u_block(grid, terms, dt, rhs_u)
+        errors = _solve_v_block(grid, dt, terms.beta, v, rhs_v)
+    lows = _lows(rhs, n)
     if not (lows.min() >= POSITIVITY_HARD_LIMIT and rhs.max() < np.inf):
-        finite = np.isfinite(rhs.reshape(2 * n, -1)).all(axis=0)
+        finite = np.isfinite(_per_column(rhs, n)).all(axis=0).reshape(2, -1).all(axis=0)
         low = lows.min(axis=0)
         for j in np.flatnonzero(~finite | (low < POSITIVITY_HARD_LIMIT)):
             if j in errors:  # its v block did not factor
@@ -490,13 +532,14 @@ class Trajectory:
 
 
 def _record(y: np.ndarray, cols: _Columns | ModelParams, trajs, times, keep: bool) -> None:
-    """Append to each of trajs the diagnostics row of its column of the
-    Fortran-ordered (2n, m) state y (parameters cols) at its time in
-    times, and the state itself if keep or it is at t_end. Axis-0 sums
-    add each column as grid.trapezoid adds it alone (see Trajectory)."""
+    """Append to each of trajs the diagnostics row of its run in the
+    Fortran-ordered (n, 2m) state y, m u columns before m v columns
+    (parameters cols), at its time in times, and the state itself if keep
+    or it is at t_end. Axis-0 sums add each column as grid.trapezoid adds
+    it alone (see Trajectory)."""
     grid = trajs[0].grid
-    n, h, t_end = grid.n, grid.h, trajs[0].ctrl.t_end
-    u, v = y[:n], y[n:]
+    h, t_end = grid.h, trajs[0].ctrl.t_end
+    u, v = _blocks(y, grid.n)
 
     def mass(w):
         return h * (w.sum(axis=0) - 0.5 * (w[0] + w[-1]))
@@ -540,8 +583,8 @@ def _rung(x: float) -> float:
 
 
 def _take(y: np.ndarray, keep: list, m: int) -> np.ndarray:
-    """The columns keep of the m-column batch y, or y if that is all."""
-    return y if len(keep) == m else np.asfortranarray(y[:, keep])
+    """The runs keep of the batch y of m runs, or y if that is all."""
+    return y if len(keep) == m else np.asfortranarray(y[:, _pair(keep, m)])
 
 
 def _extrapolate(y1: np.ndarray, yh: np.ndarray) -> np.ndarray:
@@ -579,22 +622,23 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     k, n, h = len(params), grid.n, grid.h
     trajs = [Trajectory(grid=grid, params=p, ctrl=ctrl) for p in params]
     results: list = list(trajs)
-    # The state: u rows above v rows, k copies as the columns of a
-    # Fortran-ordered (2n, k) array. A batch of one drops the column
-    # axis and keeps its ModelParams, so its per-column values are
-    # scalars, whose arithmetic costs a fraction of one-element arrays'.
+    # The state: k copies of u0, then k of v0, as the columns of a
+    # Fortran-ordered (n, 2k) array. A batch of one keeps the (2n,)
+    # vector, u above v, and its ModelParams, so its per-column values
+    # are scalars, whose arithmetic costs a fraction of one-element arrays'.
     y = np.concatenate((u0.values, v0.values))
     cols = params[0]
     if k > 1:
-        y, cols = np.tile(y, (k, 1)).T, _Columns.of(params)
-    _record(y.reshape(2 * n, -1), cols, trajs, [0.0] * k, keep=False)
+        y = np.asfortranarray(np.repeat(_per_column(y, n), k, axis=1))
+        cols = _Columns.of(params)
+    _record(_per_column(y, n), cols, trajs, [0.0] * k, keep=False)
     if keep_states:
         for traj in trajs:
             traj.states.append(SimState(0.0, u0, v0))
-    # Per column, in step with the columns of y: its run, time, dt range,
+    # Per run, in step with the runs of y: its index in params, time, dt range,
     # running minima of u and v, and for auto dt its proposal (at first
     # TOL: with u = 0 cfl_dt bounds nothing) and step kind counts. Every
-    # column has taken `steps` steps.
+    # run has taken `steps` steps.
     live, t = list(range(k)), [0.0] * k
     dt_lo, dt_hi = [np.inf] * k, [0.0] * k
     lows = np.array([[u0.values.min()], [v0.values.min()]]).repeat(k, axis=1)
@@ -614,7 +658,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     while live:
         m = len(live)
         if auto:
-            bound = np.reshape(cfl_dt(y[:n], cols), -1).tolist()
+            bound = np.reshape(cfl_dt(_blocks(y, n)[0], cols), -1).tolist()
             plain = [b < a for b, a in zip(bound, proposal)]
             dts = [_rung(min(b, a)) for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
@@ -639,7 +683,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
                                           terms=terms.take(acc, m))
             errors = {acc[i]: error for i, error in failed.items()} | errors
-            safe = np.reshape(cfl_dt(ym[:n], ca), -1).tolist()
+            safe = np.reshape(cfl_dt(_blocks(ym, n)[0], ca), -1).tolist()
             ok = [i for i, d in enumerate(half) if d <= safe[i]]
             done, err, retry = [acc[i] for i in ok], {}, []
             if ok:
@@ -648,14 +692,14 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                                          [t[j] + d for j, d in zip(done, hb)], hb)
                 errors = {done[i]: error for i, error in failed.items()} | errors
                 y1 = _take(y_new, done, m)
-                err = dict(zip(done, np.reshape(
-                    (np.abs(yh - y1) / (np.abs(yh) + ATOL)).max(axis=0), -1).tolist()))
+                scaled = _per_column(np.abs(yh - y1) / (np.abs(yh) + ATOL), n)
+                err = dict(zip(done, scaled.max(axis=0).reshape(2, -1).max(axis=0).tolist()))
                 x = _extrapolate(y1, yh)
-                x_lows = x.reshape((n, 2, -1), order="F").min(axis=0)
+                x_lows = _lows(x, n)
                 if len(done) == m:
                     y_new, new_lows = x, x_lows
                 else:
-                    y_new.reshape(2 * n, -1)[:, done] = x.reshape(2 * n, -1)
+                    _per_column(y_new, n)[:, _pair(done, m)] = _per_column(x, n)
                     new_lows[:, done] = x_lows
             for i, j in enumerate(acc):
                 e = err.get(j, math.inf)  # inf: the midpoint check failed
@@ -667,7 +711,8 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                     dts[j], t_new[j] = half[i], t[j] + half[i]
             acc = [acc[i] for i in retry]
             if acc:
-                y_new.reshape(2 * n, -1)[:, acc] = ym.reshape(2 * n, -1)[:, retry]
+                _per_column(y_new, n)[:, _pair(acc, m)] = (
+                    _per_column(ym, n)[:, _pair(retry, len(half))])
                 new_lows[:, acc] = lows_m[:, retry]
         for j, error in errors.items():
             settle(j)
@@ -684,7 +729,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
         recorded = [j for j in (ended if steps % ctrl.output_every else range(len(live)))
                     if j not in errors]
         if recorded:
-            _record(_take(y.reshape(2 * n, -1), recorded, m),
+            _record(_take(_per_column(y, n), recorded, m),
                     cols if len(recorded) == m else cols.take(recorded),
                     [trajs[live[j]] for j in recorded], [t[j] for j in recorded], keep_states)
         for j in ended:
@@ -695,7 +740,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                 break
             live, t, dt_lo, dt_hi, proposal, tally = (
                 [a[j] for j in keep] for a in (live, t, dt_lo, dt_hi, proposal, tally))
-            lows, y, cols = lows[:, keep], np.asfortranarray(y[:, keep]), cols.take(keep)
+            lows, y, cols = lows[:, keep], _take(y, keep, m), cols.take(keep)
     return results
 
 

@@ -15,10 +15,12 @@ is represented by b = -mu.
 Every matrix is stored as W*A, W = diag(1/2, 1, ..., 1, 1/2) the
 trapezoid weights: a symmetric tridiagonal (d, e) pair, solved by the
 no-pivot LDL^T of LAPACK dpttrf/dpttrs, which exists exactly when W*A is
-positive definite. One factor serves many solves; the v block of an
-auto-dt step (see dynamics) carries its state in the Robin row and is
-factored anew for each solve. The nonsymmetric tridiagonal u block of
-an auto-dt step is solved by LAPACK dgtsv.
+positive definite. One factor serves many solves: a fixed-dt step (see
+dynamics) factors its u and v blocks apart, once per dt, and solves all
+columns of a block in one call, in place. The v block of an auto-dt
+step carries its state in the Robin row and is factored anew for each
+solve. The nonsymmetric tridiagonal u block of an auto-dt step is
+solved by LAPACK dgtsv.
 
 LAPACK is loaded without the scipy.linalg package: importing that
 package costs about 0.3 s of a CLI call (scipy.linalg's own imports pull
@@ -101,17 +103,13 @@ def factor(op: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarr
 
     b is a float vector of op's length, or a matrix of such columns; the
     solve returns the solution, written over b when b is contiguous in
-    Fortran order. op may stack independent blocks, joined by zero
-    entries of e; the trapezoid weights W then apply at both ends of
-    every block.
+    Fortran order.
     """
-    joins = np.flatnonzero(op[1] == 0.0)
-    ends = np.concatenate(([0], joins, joins + 1, [len(op[0]) - 1]))
     d, e, info = dpttrf(*op)
     if info > 0:
         raise SpectralShiftError(f"matrix is not positive definite (minor {info})")
 
     def solve(b: np.ndarray) -> np.ndarray:
-        b[ends] *= 0.5  # W*b
-        return dpttrs(d, e, b, overwrite_b=True)[0]
+        b[::len(d) - 1] *= 0.5  # W*b
+        return dpttrs(d, e, b, True)[0]  # overwrite_b
     return solve

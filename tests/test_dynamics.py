@@ -29,6 +29,11 @@ from angiosim.spectral import compute_mu1, cosh_profile
 from angiosim.steady import theta_mu
 
 
+def _batch(u, v, k):
+    # run_batch's state of k runs from (u, v): k u columns, then k v columns
+    return np.asfortranarray(np.repeat(np.stack((u, v), axis=1), k, axis=1))
+
+
 def test_model_params_validation(zero_V):
     with pytest.raises(ValueError):
         ModelParams(lam=0.0, mu=0.5, c=-1.0, V=zero_V)
@@ -172,7 +177,7 @@ def test_auto_dt_v_block_that_does_not_factor_fails_its_column(grid65, monkeypat
     n = grid65.n
     V = saturating_power(2.0)
     params = [ModelParams(lam=0.0, mu=mu, c=1.0, V=V) for mu in (50.0, 0.5)]
-    y = np.asfortranarray(np.tile(np.concatenate((np.zeros(n), np.full(n, 1e-6))), (2, 1)).T)
+    y = _batch(np.zeros(n), np.full(n, 1e-6), 2)
     _, _, errors = angiosim.dynamics._advance(
         grid65, angiosim.dynamics._Columns.of(params), y, [0.0, 0.0], [1.0, 1.0])
     assert list(errors) == [0] and isinstance(errors[0], SpectralShiftError)
@@ -278,11 +283,11 @@ def test_auto_dt_advance_keeps_the_mass_identity(n, k):
     y = np.concatenate((u, v))
     cols = params[0]
     if k > 1:
-        y, cols = np.asfortranarray(np.tile(y, (k, 1)).T), angiosim.dynamics._Columns.of(params)
+        y, cols = _batch(u, v, k), angiosim.dynamics._Columns.of(params)
     y_new, _, errors = angiosim.dynamics._advance(g, cols, y, [0.0] * k, dts)
     assert not errors
     for j, (p, dt) in enumerate(zip(params, dts)):
-        x_new = y_new.reshape(2 * n, -1)[:n, j]
+        x_new = y_new.reshape((n, -1), order="F")[:, j]  # a batch of one is its (n, 2) array
         loss = p.V.V(u[-1]) / u[-1] * boundary_flux_v(p, v[-1]) * x_new[-1]
         change = trapezoid(g.h, x_new) - trapezoid(g.h, u)
         ledger = dt * trapezoid(g.h, p.lam * u - u * u) - dt * loss
@@ -417,23 +422,25 @@ def test_fixed_dt_run_factors_once_per_dt(grid65, monkeypatch, t_end, factors):
     traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
                StepControl(t_end=t_end, dt=0.125))
     assert traj.steps_taken == 8 + (factors - 1)
-    assert len(calls) == factors
+    assert len(calls) == 2 * factors  # one factor per block
 
 
 def test_step_factor_matches_per_block_solves(grid65):
-    # the 2n system is the u block above the v block, W applied at all
-    # four block ends; the solves overwrite their right-hand sides
+    # the fixed-dt solve of an (n, 2k) state, each block's k columns at
+    # once and in place, has the bits of each column's solo solve; so
+    # has a batch of one's (2n,) vector
     n, h, dt = grid65.n, grid65.h, 0.3
     r = dt / (h * h)
     rng = np.random.default_rng(0)
-    rhs = rng.random(2 * n)
-    joint = angiosim.dynamics._step_factor(n, h, dt)(rhs.copy())
-    u = factor(banded_rows(n, h, r, 1.0))(rhs[:n].copy())
-    v = factor(banded_rows(n, h, r, 1.0 + dt))(rhs[n:].copy())
-    assert joint.shape == (2 * n,)
-    # the zero join entry decouples the blocks exactly: the same bits
-    np.testing.assert_array_equal(joint[:n], u)
-    np.testing.assert_array_equal(joint[n:], v)
+    for k in (1, 3):
+        rhs = np.asfortranarray(rng.random((n, 2 * k)))
+        y = rhs.copy(order="F")
+        blocks = angiosim.dynamics._blocks(y if k > 1 else y.ravel(order="F"), n)
+        for solve, block in zip(angiosim.dynamics._step_factor(n, h, dt), blocks):
+            assert solve(block) is block
+        for j in range(2 * k):
+            alone = factor(banded_rows(n, h, r, 1.0 if j < k else 1.0 + dt))(rhs[:, j].copy())
+            assert y[:, j].tobytes() == alone.tobytes()
 
 
 def test_fixed_dt_run_ends_on_t_end():
@@ -763,12 +770,17 @@ def test_chemotaxis_divergence_of_a_batch_is_per_column(grid65):
     V = saturating_power(2.0)
     params = [ModelParams(lam=lam, mu=mu, c=1.0, V=V)
               for lam, mu in ((0.0, 0.3), (0.5, 1.2), (1.0, 0.8))]
-    y = np.asfortranarray(np.random.default_rng(2).random((2 * n, 3)))
-    y[n + 10:n + 20] = 0.25  # tied faces
-    batch = chemotaxis_divergence(grid65, y[:n], y[n:], angiosim.dynamics._Columns.of(params))
-    for j, p in enumerate(params):
-        alone = chemotaxis_divergence(grid65, y[:n, j].copy(), y[n:, j].copy(), p)
-        assert batch[:, j].tobytes() == alone.tobytes()
+    rng = np.random.default_rng(2)
+    cols = angiosim.dynamics._Columns.of(params)
+    for seams in (None, (0.9, 0.1, 0.4, 0.4)):
+        y = np.asfortranarray(rng.random((n, 6)))  # u, u, u, v, v, v
+        y[10:20, 3:] = 0.25  # tied faces
+        if seams:  # a falling face from column 0 into 1, and a tied one from 1 into 2
+            y[-1, 3], y[0, 4], y[-1, 4], y[0, 5] = seams
+        batch = chemotaxis_divergence(grid65, y[:, :3], y[:, 3:], cols)
+        for j, p in enumerate(params):
+            alone = chemotaxis_divergence(grid65, y[:, j].copy(), y[:, 3 + j].copy(), p)
+            assert batch[:, j].tobytes() == alone.tobytes()
 
 
 def test_chemotaxis_divergence_telescopes_to_the_tumor_flux(grid65):
