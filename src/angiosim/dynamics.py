@@ -22,8 +22,10 @@ makes both linearly implicit in the new state. Its u block carries the
 chemotaxis (_solve_u_block), a tridiagonal M-matrix for every dt,
 solved by dgtsv. Its v block carries f(v_L) + beta*(x_L - v_L),
 beta = min(f'(v_L), mu1) (_flux_slope), as the Robin row -dt*beta:
-a positive definite Z-matrix, so an M-matrix, for every dt, factored
-per column (_solve_v_block), while the explicit rest f(v_L) - beta*v_L
+a positive definite Z-matrix, so an M-matrix, for every dt. Only its
+tumor row depends on the state, so each column takes the cached factor
+of the state-free block of its dt (_v_factor) and sets only its last
+pivot (_solve_v_block), while the explicit rest f(v_L) - beta*v_L
 is >= 0 as f is concave. So only the explicit reactions bound dt
 (cfl_dt) to keep u, v nonnegative. A steady v with u = 0 solves the
 banded_rows rows with the flux f, and steady.theta_mu solves those
@@ -41,7 +43,8 @@ second-order 2*yh - y1 (linearly implicit Euler keeps an asymptotic
 expansion in dt: Hairer & Wanner, Solving ODEs II, IV.9), or yh wherever
 that is negative, and proposes dt*min(2, 0.9*sqrt(TOL/err)) next. Else
 it is retried at dt/2, whose full step is the first half step. dt is
-rounded down to a power of 2**(1/DT_RUNGS). The full step and the first
+rounded down to a power of 2**(1/DT_RUNGS), so that the steps of a run
+reuse a few v factors. The full step and the first
 half step start from one state, so they share its dt-free terms
 (_state_terms), evaluated once per step.
 
@@ -110,8 +113,12 @@ TOL = 1e-2  # error tolerance of an accuracy-bound auto-dt step, and its first d
 # absolute part of the error's scale; just above harness.FIT_FLOOR, so
 # any v a decay fit can still use keeps steering dt
 ATOL = 1e-12
-# auto dt is rounded down to a power 2**(k/DT_RUNGS)
+# auto dt is rounded down to a power 2**(k/DT_RUNGS), so that steps of
+# nearly equal dt share one cached v-block factor (_v_factor)
 DT_RUNGS = 16
+# the auto-dt v-block factors kept, the most recently used: about 2*n
+# doubles each
+V_FACTORS = 32
 END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
 # the share of cfl_dt's raw reaction bound that a step may take: with it
 # the explicit reactions take less than DT_SAFETY/2 of a node's u or v,
@@ -255,7 +262,7 @@ def cfl_dt(u: np.ndarray, p: ModelParams):
     of each u_i and v_i, so the right-hand sides stay nonnegative, and
     so do the M-matrix solves after them.
     """
-    linf_u = np.abs(u).max(axis=0)
+    linf_u = np.maximum.reduce(np.abs(u), axis=0)
     rate = np.maximum(np.maximum(np.abs(p.lam) + 2.0 * linf_u, p.c * linf_u), RATE_FLOOR)
     return DT_SAFETY * (0.5 / rate)
 
@@ -283,7 +290,7 @@ def _per_column(y: np.ndarray, n: int) -> np.ndarray:
 
 def _lows(y: np.ndarray, n: int) -> np.ndarray:
     """The minima of u and v per run of the batch y, as a (2, k) array."""
-    return _per_column(y, n).min(axis=0).reshape(2, -1)
+    return np.minimum.reduce(_per_column(y, n), axis=0).reshape(2, -1)
 
 
 def _pair(keep: list, m: int) -> list:
@@ -296,7 +303,8 @@ def _flux_slope(grid: Grid1D, cols: _Columns | ModelParams, v_tumor):
     the slope mu/(1+v)^2 of the tumor flux, capped at mu1 so that the v
     block stays positive definite. Written without a power, whose array
     and scalar forms can differ in the last bit (see Trajectory)."""
-    return np.minimum(cols.mu / (1.0 + v_tumor) / (1.0 + v_tumor), compute_mu1(grid))
+    slope, mu1 = cols.mu / (1.0 + v_tumor) / (1.0 + v_tumor), compute_mu1(grid)
+    return min(slope, mu1) if isinstance(slope, float) else np.minimum(slope, mu1)
 
 
 def _sum_error(a, b):
@@ -306,11 +314,28 @@ def _sum_error(a, b):
     return (a - (s - b_part)) + (b - b_part)
 
 
+@functools.lru_cache(maxsize=V_FACTORS)
+def _v_factor(n: int, h: float, dt: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The LDL^T factor (d, e) of the state-free auto-dt v block
+    banded_rows(n, h, dt/h^2, 1 + dt), read-only, and the two terms of
+    its last pivot that do not depend on the Robin row: the tumor row's
+    2*dt/h^2 + (1 + dt) and e_{n-1}*(-dt/h^2), each rounded as
+    banded_rows and dpttrf round them. Only that pivot depends on the
+    state (_solve_v_block); the rows above it are strictly diagonally
+    dominant, so their pivots are positive. Cached per (n, h, dt)."""
+    r = dt / (h * h)
+    d, e, _ = dpttrf(*banded_rows(n, h, r, 1.0 + dt), True, True)
+    d.flags.writeable = e.flags.writeable = False
+    return d, e, 2.0 * r + (1.0 + dt), float(e[-1]) * -r
+
+
 def _solve_v_block(grid: Grid1D, dt, beta, v: np.ndarray, b: np.ndarray) -> dict:
     """Overwrite b, the v rows of an auto-dt advance from v with flux
     slopes beta, with x: W*A x = W*(b + (A - A_exact) v). A is the block
     (1 + dt)*I + dt*(-d2/dx2) with the Robin row robin = -dt*beta as
-    banded_rows rounds it, each column factored by dpttrf. For
+    banded_rows rounds it. Its factor is, bitwise, dpttrf's: the cached
+    _v_factor of the column's dt with the last pivot set from beta, the
+    one pivot on which beta acts. For
     0 <= beta <= mu1, -d2/dx2 with the flux dw/dn = beta*w has its
     smallest eigenvalue in [-1, 0], -1 at beta = mu1 (see spectral), so
     the block's smallest W-eigenvalue is at least 1 for every dt.
@@ -325,7 +350,8 @@ def _solve_v_block(grid: Grid1D, dt, beta, v: np.ndarray, b: np.ndarray) -> dict
     right-hand side stays nonnegative for dt < h^2/(4*eps).
 
     Returns the SpectralShiftError of each column whose block did not
-    factor, by column; its x is NaN.
+    factor, by column: whose last pivot is <= 0, dpttrf's own test. Its
+    x is NaN.
     """
     n, h = grid.n, grid.h
     r = dt / (h * h)
@@ -335,13 +361,17 @@ def _solve_v_block(grid: Grid1D, dt, beta, v: np.ndarray, b: np.ndarray) -> dict
     columns = [(dt, beta, b)] if b.ndim == 1 else zip(dt.tolist(), beta.tolist(), b.T)
     errors = {}
     for j, (dt_j, beta_j, b_j) in enumerate(columns):
-        d, e, info = dpttrf(*banded_rows(n, h, dt_j / (h * h), 1.0 + dt_j, -dt_j * beta_j),
-                            True, True)
-        if info:
+        d, e, diag, shift = _v_factor(n, h, dt_j)
+        # dpttrf's last pivot of the block with the Robin row -dt*beta,
+        # rounded as banded_rows and dpttrf round it, and its own test
+        pivot = (diag + 2.0 * (-dt_j * beta_j) / h) * 0.5 - shift
+        if pivot <= 0.0:
             b_j[:] = np.nan
             errors[j] = SpectralShiftError(
-                f"the v block of dt={dt_j:g} is not positive definite (minor {info})")
+                f"the v block of dt={dt_j:g} is not positive definite (minor {n})")
         else:
+            d = d.copy()
+            d[-1] = pivot
             dpttrs(d, e, b_j, True)  # in place on b's column
     return errors
 
@@ -375,9 +405,12 @@ def _state_terms(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray) -> _
     dv = v[1:] - v[:-1]
     growth = cols.lam * u
     growth -= u * u
-    flux, beta = boundary_flux_v(cols, v[-1]), _flux_slope(grid, cols, v[-1])
-    return _Terms(growth, np.where(dv > 0.0, rate[:-1], rate[1:]) * dv, rate[-1],
-                  flux, beta, flux - beta * v[-1])
+    # a batch of one's tumor-row terms are Python floats, whose arithmetic
+    # costs less than numpy scalars' and rounds alike
+    v_L, rate_L = (v[-1], rate[-1]) if y.ndim == 2 else (float(v[-1]), float(rate[-1]))
+    flux, beta = boundary_flux_v(cols, v_L), _flux_slope(grid, cols, v_L)
+    return _Terms(growth, np.where(dv > 0.0, rate[:-1], rate[1:]) * dv, rate_L,
+                  flux, beta, flux - beta * v_L)
 
 
 def _solve_u_block(grid: Grid1D, terms: _Terms, dt, b: np.ndarray) -> None:
@@ -457,7 +490,8 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
         _solve_u_block(grid, terms, dt, rhs_u)
         errors = _solve_v_block(grid, dt, terms.beta, v, rhs_v)
     lows = _lows(rhs, n)
-    if not (lows.min() >= POSITIVITY_HARD_LIMIT and rhs.max() < np.inf):
+    if not (np.minimum.reduce(lows, axis=None) >= POSITIVITY_HARD_LIMIT
+            and np.maximum.reduce(rhs, axis=None) < np.inf):
         finite = np.isfinite(_per_column(rhs, n)).all(axis=0).reshape(2, -1).all(axis=0)
         low = lows.min(axis=0)
         for j in np.flatnonzero(~finite | (low < POSITIVITY_HARD_LIMIT)):
@@ -658,7 +692,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     while live:
         m = len(live)
         if auto:
-            bound = np.reshape(cfl_dt(_blocks(y, n)[0], cols), -1).tolist()
+            bound = cfl_dt(_blocks(y, n)[0], cols).reshape(-1).tolist()
             plain = [b < a for b, a in zip(bound, proposal)]
             dts = [_rung(min(b, a)) for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
@@ -683,7 +717,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
                                           terms=terms.take(acc, m))
             errors = {acc[i]: error for i, error in failed.items()} | errors
-            safe = np.reshape(cfl_dt(_blocks(ym, n)[0], ca), -1).tolist()
+            safe = cfl_dt(_blocks(ym, n)[0], ca).reshape(-1).tolist()
             ok = [i for i, d in enumerate(half) if d <= safe[i]]
             done, err, retry = [acc[i] for i in ok], {}, []
             if ok:
@@ -692,8 +726,12 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                                          [t[j] + d for j, d in zip(done, hb)], hb)
                 errors = {done[i]: error for i, error in failed.items()} | errors
                 y1 = _take(y_new, done, m)
-                scaled = _per_column(np.abs(yh - y1) / (np.abs(yh) + ATOL), n)
-                err = dict(zip(done, scaled.max(axis=0).reshape(2, -1).max(axis=0).tolist()))
+                scaled = np.abs(yh - y1) / (np.abs(yh) + ATOL)
+                if scaled.ndim == 1:  # a batch of one: its u and v at once
+                    err = {0: float(np.maximum.reduce(scaled))}
+                else:
+                    err = dict(zip(done, np.maximum.reduce(_per_column(scaled, n), axis=0)
+                                   .reshape(2, -1).max(axis=0).tolist()))
                 x = _extrapolate(y1, yh)
                 x_lows = _lows(x, n)
                 if len(done) == m:

@@ -18,9 +18,10 @@ no-pivot LDL^T of LAPACK dpttrf/dpttrs, which exists exactly when W*A is
 positive definite. One factor serves many solves: a fixed-dt step (see
 dynamics) factors its u and v blocks apart, once per dt, and solves all
 columns of a block in one call, in place. The v block of an auto-dt
-step carries its state in the Robin row and is factored anew for each
-solve. The nonsymmetric tridiagonal u block of an auto-dt step is
-solved by LAPACK dgtsv.
+step carries its state in the Robin row alone, so dynamics caches the
+factor of its state-free rows per dt and sets only the last pivot. The
+nonsymmetric tridiagonal u block of an auto-dt step is solved by LAPACK
+dgtsv.
 
 LAPACK is loaded without the scipy.linalg package: importing that
 package costs about 0.3 s of a CLI call (scipy.linalg's own imports pull

@@ -473,3 +473,13 @@ def test_cli_import_leaves_out_scipy_linalg():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
+    # no install: the package is found through PYTHONPATH alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "angiosim", "mu1", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "mu1.json").read_text())["mu1"] == float(proc.stdout)

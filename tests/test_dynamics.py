@@ -183,6 +183,90 @@ def test_auto_dt_v_block_that_does_not_factor_fails_its_column(grid65, monkeypat
     assert list(errors) == [0] and isinstance(errors[0], SpectralShiftError)
 
 
+@pytest.mark.parametrize("n", [3, 65, 257, 8193])
+def test_cached_v_factor_with_its_pivot_is_dpttrfs(n, monkeypatch):
+    # A column's v factor is the cached factor of the state-free block of
+    # its dt with the last pivot set from beta: bitwise dpttrf's factor
+    # of the whole block, failing exactly where dpttrf reports its last
+    # minor. Uncapped, slopes above mu1 make indefinite blocks too.
+    dynamics = angiosim.dynamics
+    grid = make_grid(1.0, n)
+    h, mu1 = grid.h, compute_mu1(grid)
+    monkeypatch.setattr(dynamics, "compute_mu1", lambda grid: np.inf)
+    V = saturating_power(2.0)
+    betas = [0.0, mu1] + [dynamics._flux_slope(grid, ModelParams(lam=0.0, mu=mu, c=1.0, V=V), v)
+                          for mu in (0.5, 1.2, 50.0) for v in (1e-6, 0.5, 3.0)]
+    factors = []
+    monkeypatch.setattr(dynamics, "dpttrs", lambda d, e, b, overwrite: factors.append((d, e)))
+    k, failed = len(betas), 0
+    for rung in range(-400, 201):
+        dt = 2.0 ** (rung / dynamics.DT_RUNGS)
+        factors.clear()
+        errors = dynamics._solve_v_block(grid, np.full(k, dt), np.array(betas),
+                                         np.zeros((n, k)), np.ones((n, k), order="F"))
+        solved = iter(factors)
+        for j, beta in enumerate(betas):
+            d_ref, e_ref, info = dpttrf(*banded_rows(n, h, dt / (h * h), 1.0 + dt, -dt * beta))
+            if info:
+                assert info == n and isinstance(errors.get(j), SpectralShiftError)
+                failed += 1
+            else:
+                d, e = next(solved)
+                assert j not in errors
+                assert d.tobytes() == d_ref.tobytes() and e.tobytes() == e_ref.tobytes()
+        assert next(solved, None) is None
+    assert 0 < failed < 601 * k
+
+
+def test_auto_dt_run_factors_its_v_block_once_per_dt(grid65, monkeypatch):
+    # The ladder puts most steps on a dt already factored: the run calls
+    # dpttrf once per distinct dt (31 for 262 v solves, within
+    # V_FACTORS), and its results are bitwise those of the same run
+    # factoring every v block anew.
+    dynamics = angiosim.dynamics
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    u0 = make_field(grid65, 0.5 + 0.1 * np.cos(np.pi * grid65.nodes))
+    v0, ctrl = const_field(grid65, 0.5), StepControl(t_end=40.0, output_every=1)
+    dts, factored = [], []
+    solve_v_block, dpttrf_ = dynamics._solve_v_block, dynamics.dpttrf
+
+    def recorded(grid, dt, *rest):
+        dts.append(dt)
+        return solve_v_block(grid, dt, *rest)
+
+    def counted(*args):
+        factored.append(1)
+        return dpttrf_(*args)
+
+    monkeypatch.setattr(dynamics, "_solve_v_block", recorded)
+    monkeypatch.setattr(dynamics, "dpttrf", counted)
+    dynamics._v_factor.cache_clear()
+    cached = run(u0, v0, p, ctrl)
+    solves, distinct = len(dts), len(set(dts))
+    assert len(factored) == distinct < solves / 2
+
+    v_factor = dynamics._v_factor
+
+    def uncached(*key):
+        v_factor.cache_clear()
+        return v_factor(*key)
+
+    monkeypatch.setattr(dynamics, "_v_factor", uncached)
+    factored.clear()
+    fresh = run(u0, v0, p, ctrl)
+    assert len(factored) == len(dts) - solves == solves
+    for name in DIAG_COLUMNS:
+        assert cached.diagnostics[name].tobytes() == fresh.diagnostics[name].tobytes()
+    assert len(cached.states) == len(fresh.states)
+    for a, b in zip(cached.states, fresh.states):
+        assert a.t == b.t
+        assert a.u.values.tobytes() == b.u.values.tobytes()
+        assert a.v.values.tobytes() == b.v.values.tobytes()
+    for name in ("steps_taken", "dt_min", "dt_max", "steps_extrapolated", "steps_cfl_bound",
+                 "steps_rejected", "min_u_overall", "min_v_overall"):
+        assert getattr(cached, name) == getattr(fresh, name)
+
+
 def test_dt_ladder_rounds_down_to_the_nearest_rung():
     # the floor of DT_RUNGS*log2(x) alone maps 19 of these rungs one rung
     # low, so an exact doubling of a ladder dt fell short of its rung
