@@ -44,9 +44,9 @@ expansion in dt: Hairer & Wanner, Solving ODEs II, IV.9), or yh wherever
 that is negative, and proposes dt*min(2, 0.9*sqrt(TOL/err)) next. Else
 it is retried at dt/2, whose full step is the first half step. dt is
 rounded down to a power of 2**(1/DT_RUNGS), so that the steps of a run
-reuse a few v factors. The full step and the first
-half step start from one state, so they share its dt-free terms
-(_state_terms), evaluated once per step.
+reuse a few v factors. The full step and the first half step start
+from one state, so they share its dt-free terms (_state_terms),
+evaluated once per step.
 
 One kernel, run_batch, steps k runs at once. They share the grid, the
 initial data, V and the step controls, but each has its own lam, mu and
@@ -334,11 +334,11 @@ def _solve_v_block(grid: Grid1D, dt, beta, v: np.ndarray, b: np.ndarray) -> dict
     slopes beta, with x: W*A x = W*(b + (A - A_exact) v). A is the block
     (1 + dt)*I + dt*(-d2/dx2) with the Robin row robin = -dt*beta as
     banded_rows rounds it. Its factor is, bitwise, dpttrf's: the cached
-    _v_factor of the column's dt with the last pivot set from beta, the
-    one pivot on which beta acts. For
-    0 <= beta <= mu1, -d2/dx2 with the flux dw/dn = beta*w has its
-    smallest eigenvalue in [-1, 0], -1 at beta = mu1 (see spectral), so
-    the block's smallest W-eigenvalue is at least 1 for every dt.
+    _v_factor of the column's dt with the last pivot, the one pivot on
+    which beta acts, set from beta. For 0 <= beta <= mu1, -d2/dx2 with
+    the flux dw/dn = beta*w has its smallest eigenvalue in [-1, 0], -1
+    at beta = mu1 (see spectral), so the block's smallest W-eigenvalue
+    is at least 1 for every dt.
 
     Rounded, the diagonal 2*dt/h^2 + (1 + dt) drops the low bits of
     1 + dt alike in every row: a bias of up to eps/h^2 in the decay rate,
