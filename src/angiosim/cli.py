@@ -1,9 +1,10 @@
-"""Command-line entry point.
-
-Subcommands: eigen, mu1, steady, simulate, classify, sweep, check-v.
-Every invocation writes a manifest (config echo, versions, wall time,
-output list) into the output directory. All outputs except the manifest
-are byte-deterministic for a fixed configuration: there is no randomness
+"""Command-line entry point: angiosim SUBCOMMAND [--config C] [--out O],
+SUBCOMMAND one of eigen, mu1, steady, simulate, classify, sweep, check-v.
+One flat parser takes both options before or after it, so
+`angiosim SUBCOMMAND -h` prints the top-level help. Every invocation
+writes a manifest (config echo, versions, wall time, output list) into
+the output directory. All outputs except the manifest are
+byte-deterministic for a fixed configuration: there is no randomness
 anywhere in the package.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 solver failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import sys
@@ -19,7 +21,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import RunConfig, load_config, parse_config
@@ -37,6 +38,23 @@ from .sensitivity import (
 from .spectral import alpha_of_mu, compute_mu1
 from .steady import theta_mu
 
+
+def _scipy_version() -> str:
+    """scipy.__version__ from scipy/version.py, loaded by its file path
+    without importing scipy; from the imported package if that load fails."""
+    try:
+        path = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "version.py")
+        spec = importlib.util.spec_from_file_location("_scipy_version", path)
+        spec.loader.exec_module(version := importlib.util.module_from_spec(spec))
+        return version.version
+    except Exception:  # whatever stopped the load, the package knows its version
+        import scipy
+        return scipy.__version__
+
+
+_SCIPY_VERSION = _scipy_version()
+
+
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -49,7 +67,7 @@ def _write_manifest(outdir: Path, subcommand: str, cfg: RunConfig,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _SCIPY_VERSION,
             "angiosim": __version__,
         },
         "wall_time_s": wall,
@@ -184,18 +202,11 @@ _DISPATCH = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="angiosim",
-        description="Numerical laboratory for a chemotaxis model with "
-        "nonlinear flux at the tumor boundary",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _DISPATCH:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None,
-                        help="path to a JSON configuration file")
-        sp.add_argument("--out", type=str, default=None,
-                        help="output directory (overrides io.outdir)")
+    parser = argparse.ArgumentParser(prog="angiosim", description="Numerical laboratory for a "
+                                     "chemotaxis model with nonlinear flux at the tumor boundary")
+    parser.add_argument("subcommand", choices=_DISPATCH)
+    parser.add_argument("--config", help="path to a JSON configuration file")
+    parser.add_argument("--out", help="output directory (overrides io.outdir)")
     return parser
 
 

@@ -23,15 +23,15 @@ factor of its state-free rows per dt and sets only the last pivot. The
 nonsymmetric tridiagonal u block of an auto-dt step is solved by LAPACK
 dgtsv.
 
-LAPACK is loaded without the scipy.linalg package: importing that
-package costs about 0.3 s of a CLI call (scipy.linalg's own imports pull
-in numpy.f2py, numpy.testing and more), while the package needs only
-dpttrf, dpttrs and dgtsv. _ldlt_routines loads scipy's f2py extension
-linalg/_flapack by its file path and takes the three routines from it;
-this is the very extension scipy.linalg.lapack wraps, so every factor
-and solve is the same compiled code. If that load fails for any reason,
-for example in a scipy whose layout has no such file, the routines come
-from scipy.linalg.lapack instead.
+LAPACK is loaded without importing scipy: the package needs only dpttrf,
+dpttrs and dgtsv, while scipy's __init__ alone pulls in subprocess and
+sysconfig. _ldlt_routines finds scipy's directory with
+importlib.util.find_spec, which does not run the package, and loads
+scipy's f2py extension linalg/_flapack by its file path: the very
+extension scipy.linalg.lapack wraps, so every factor and solve is the
+same compiled code. If that load fails for any reason, for example in a
+scipy whose layout has no such file, the routines come from
+scipy.linalg.lapack instead.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .errors import SpectralShiftError
 
@@ -54,10 +53,10 @@ _FLAPACK = "scipy.linalg._flapack"
 
 def _ldlt_routines() -> tuple[Callable, Callable, Callable]:
     """LAPACK (dpttrf, dpttrs, dgtsv) from scipy's extension linalg/_flapack,
-    loaded by file path so that the scipy.linalg package is not
-    imported; scipy.linalg.lapack's if that load fails."""
-    try:
-        linalg = Path(scipy.__file__).parent / "linalg"
+    loaded by file path so that scipy is not imported; scipy.linalg.lapack's
+    if that load fails."""
+    try:  # find_spec is None without scipy, and the attribute lookup fails
+        linalg = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
         path = next(p for p in (linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES)
                     if p.is_file())
         spec = importlib.util.spec_from_file_location(_FLAPACK, path)

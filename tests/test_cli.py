@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -451,14 +452,19 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_linalg():
-    # A fresh interpreter: the CLI imports without the scipy.linalg
-    # package (its LAPACK routines are loaded directly, not through the
-    # fallback), and the package still imports afterwards.
+def test_cli_import_leaves_out_scipy_linalg(tmp_path):
+    # A fresh interpreter: the CLI imports and parses a configuration
+    # without scipy itself, let alone the scipy.linalg package (its LAPACK
+    # routines are loaded directly, not through the fallback), and the
+    # package still imports afterwards.
     src = Path(__file__).resolve().parents[1] / "src"
+    cfg = write_config(tmp_path, {"grid": {"n": 33}})
     probe = (
         "import sys\n"
         "import angiosim.cli\n"
+        "from angiosim.config import load_config\n"
+        f"load_config({cfg!r})\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
         "import numpy as np\n"
         "import scipy.linalg.lapack as lapack\n"
@@ -483,3 +489,59 @@ def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "mu1.json").read_text())["mu1"] == float(proc.stdout)
+
+
+def test_cli_manifest_scipy_version(tmp_path, monkeypatch):
+    # read from scipy/version.py without importing scipy, and the same
+    # value through the fallback when that read fails
+    import scipy
+
+    from angiosim import cli
+
+    assert main(["mu1", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
+    assert cli._scipy_version() == scipy.__version__
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise OSError("no version file")
+
+    monkeypatch.setattr(importlib.util, "spec_from_file_location", broken)
+    assert cli._scipy_version() == scipy.__version__
+    assert calls  # the read was tried, and failed
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    assert cli._scipy_version() == scipy.__version__
+
+
+@pytest.mark.parametrize("subcommand", ["eigen", "mu1", "steady", "simulate", "classify",
+                                        "sweep", "check-v"])
+def test_cli_parser_takes_options_before_or_after_the_subcommand(subcommand):
+    from angiosim.cli import _build_parser
+
+    options = ["--config", "c.json", "--out", "o"]
+    for argv in ([subcommand, *options], [*options, subcommand],
+                 ["--out", "o", subcommand, "--config", "c.json"]):
+        args = _build_parser().parse_args(argv)
+        assert (args.subcommand, args.config, args.out) == (subcommand, "c.json", "o")
+    args = _build_parser().parse_args([subcommand])
+    assert (args.config, args.out) == (None, None)
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["--out", "o"]])
+def test_cli_unknown_or_missing_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "subcommand" in capsys.readouterr().err
+
+
+def test_python_dash_m_help_lists_every_subcommand():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "angiosim", "-h"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for subcommand in ("eigen", "mu1", "steady", "simulate", "classify", "sweep", "check-v"):
+        assert subcommand in proc.stdout

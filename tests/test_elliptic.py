@@ -219,3 +219,8 @@ def test_ldlt_routines_fall_back_to_scipy_linalg_lapack(monkeypatch):
     monkeypatch.setattr(importlib.util, "spec_from_file_location", broken)
     assert elliptic._ldlt_routines() == (lapack.dpttrf, lapack.dpttrs, lapack.dgtsv)
     assert calls  # the direct load was tried, and failed
+
+    # scipy's package directory cannot be found: find_spec returns None
+    monkeypatch.undo()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    assert elliptic._ldlt_routines() == (lapack.dpttrf, lapack.dpttrs, lapack.dgtsv)
