@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from angiosim.cli import main
+from angiosim.cli import _build_parser, _scipy_version, main
 from angiosim.config import parse_config
 from angiosim.errors import ConfigError
+
+SUBCOMMANDS = ("eigen", "mu1", "steady", "simulate", "classify", "sweep", "check-v")
 
 
 def test_parse_config_minimal_fills_defaults():
@@ -494,14 +497,10 @@ def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
 def test_cli_manifest_scipy_version(tmp_path, monkeypatch):
     # read from scipy/version.py without importing scipy, and the same
     # value through the fallback when that read fails
-    import scipy
-
-    from angiosim import cli
-
     assert main(["mu1", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
-    assert cli._scipy_version() == scipy.__version__
+    assert _scipy_version() == scipy.__version__
     calls = []
 
     def broken(*args, **kwargs):
@@ -509,17 +508,14 @@ def test_cli_manifest_scipy_version(tmp_path, monkeypatch):
         raise OSError("no version file")
 
     monkeypatch.setattr(importlib.util, "spec_from_file_location", broken)
-    assert cli._scipy_version() == scipy.__version__
+    assert _scipy_version() == scipy.__version__
     assert calls  # the read was tried, and failed
     monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
-    assert cli._scipy_version() == scipy.__version__
+    assert _scipy_version() == scipy.__version__
 
 
-@pytest.mark.parametrize("subcommand", ["eigen", "mu1", "steady", "simulate", "classify",
-                                        "sweep", "check-v"])
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 def test_cli_parser_takes_options_before_or_after_the_subcommand(subcommand):
-    from angiosim.cli import _build_parser
-
     options = ["--config", "c.json", "--out", "o"]
     for argv in ([subcommand, *options], [*options, subcommand],
                  ["--out", "o", subcommand, "--config", "c.json"]):
@@ -543,5 +539,5 @@ def test_python_dash_m_help_lists_every_subcommand():
     proc = subprocess.run([sys.executable, "-m", "angiosim", "-h"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    for subcommand in ("eigen", "mu1", "steady", "simulate", "classify", "sweep", "check-v"):
+    for subcommand in SUBCOMMANDS:
         assert subcommand in proc.stdout
