@@ -215,6 +215,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = load_config(args.config) if args.config else parse_config("{}")
+        if args.out == "":  # as io.outdir, an empty directory name is refused
+            raise ConfigError("--out must be a nonempty string, got ''")
         if args.out:
             cfg.outdir = args.out
         exp = cfg.experiment_values(args.subcommand)

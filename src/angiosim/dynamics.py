@@ -14,19 +14,22 @@ implicit: the u block I + dt*(-d2/dx2) and the v block
 The logistic term and -c*u*v are explicit. The tumor flux
 f(v) = mu*v/(1+v) enters v's tumor-end row as the source (2*dt/h)*f.
 
+A run caches the LDL^T factors of these blocks' state-free rows
+(_factor) per dt, in both dt modes (run_batch).
+
 A fixed-dt step keeps the chemotaxis and f explicit. f(v_L) is then a
-source in [0, 2*dt*mu/h], so the v block depends only on (n, h, dt),
-and each block takes one LDL^T solve with its own factor; a dt too
-large for the explicit terms raises PositivityError. An auto-dt step
-makes both linearly implicit in the new state. Its u block carries the
-chemotaxis (_solve_u_block), a tridiagonal M-matrix for every dt,
-solved by dgtsv. Its v block carries f(v_L) + beta*(x_L - v_L),
+source in [0, 2*dt*mu/h], so the v block is state-free, and each block
+takes one LDL^T solve with its factor; a dt too large for the explicit
+terms raises PositivityError. An auto-dt step makes both linearly
+implicit in the new state. Its u block carries the chemotaxis
+(_solve_u_block), a tridiagonal M-matrix for every dt, solved by
+dgtsv. Its v block carries f(v_L) + beta*(x_L - v_L),
 beta = min(f'(v_L), mu1) (_flux_slope), as the Robin row -dt*beta:
 a positive definite Z-matrix, so an M-matrix, for every dt. Only its
 tumor row depends on the state, so each column takes the cached factor
-of the state-free block of its dt (_v_factor) and sets only its last
-pivot (_solve_v_block), while the explicit rest f(v_L) - beta*v_L
-is >= 0 as f is concave. So only the explicit reactions bound dt
+of the state-free block of its dt and sets only its last pivot
+(_solve_v_block), while the explicit rest f(v_L) - beta*v_L is >= 0
+as f is concave. So only the explicit reactions bound dt
 (cfl_dt) to keep u, v nonnegative. A steady v with u = 0 solves the
 banded_rows rows with the flux f, and steady.theta_mu solves those
 exactly, so theta_mu is a fixed point of either step for every dt.
@@ -56,11 +59,11 @@ contiguous n*k vector (_blocks), in which dpttrs solves in place and
 the fixed-dt stencil takes one 1-D pass per stage. So a step evaluates
 the explicit terms once per block. A batch of one keeps its (2n,)
 vector, u above v: the same memory. Under fixed dt all columns share
-one dt and one factor per block, kept for the run, and one solve per
-block; under auto dt the blocks are solved column by column. Time
-control is per column: half steps run on the accuracy-bound columns
-only, and a column leaves the batch when it reaches t_end or its step
-fails. One pass records the diagnostics of all columns due at a step.
+one dt and one factor per block, and one solve per block; under auto
+dt the blocks are solved column by column. Time control is per
+column: half steps run on the accuracy-bound columns only, and a
+column leaves the batch when it reaches t_end or its step fails. One
+pass records the diagnostics of all columns due at a step.
 run is a batch of one, and step is one plain step of it.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
@@ -84,7 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import banded_rows, dgtsv, dpttrf, dpttrs, factor
+from .elliptic import banded_rows, dgtsv, dpttrf, dpttrs
 from .errors import PositivityError, SolverError, SpectralShiftError
 from .grid import Field, Grid1D, l2_norm, make_field
 from .sensitivity import SensitivitySpec
@@ -114,10 +117,10 @@ TOL = 1e-2  # error tolerance of an accuracy-bound auto-dt step, and its first d
 # any v a decay fit can still use keeps steering dt
 ATOL = 1e-12
 # auto dt is rounded down to a power 2**(k/DT_RUNGS), so that steps of
-# nearly equal dt share one cached v-block factor (_v_factor)
+# nearly equal dt share one cached v-block factor
 DT_RUNGS = 16
-# the auto-dt v-block factors kept, the most recently used: about 2*n
-# doubles each
+# the block factors a run keeps, the most recently used (run_batch):
+# about 2*n doubles each, freed with the run
 V_FACTORS = 32
 END_SLACK = 1e-12  # relative: a step ending this close to t_end lands on it
 # the share of cfl_dt's raw reaction bound that a step may take: with it
@@ -267,11 +270,16 @@ def cfl_dt(u: np.ndarray, p: ModelParams):
     return DT_SAFETY * (0.5 / rate)
 
 
-def _step_factor(n: int, h: float, dt: float):
-    """The LDL^T factors of a fixed-dt step, as the solves of its u block
-    I + dt*(-d2/dx2) and its v block (1 + dt)*I + dt*(-d2/dx2)."""
-    r = dt / (h * h)
-    return factor(banded_rows(n, h, r, 1.0)), factor(banded_rows(n, h, r, 1.0 + dt))
+def _factor(n: int, h: float, dt: float, diag: float) -> tuple[np.ndarray, np.ndarray]:
+    """The LDL^T factor (d, e) of the block diag*I + dt*(-d2/dx2): dpttrf's
+    of banded_rows(n, h, dt/h^2, diag), read-only. SpectralShiftError if
+    the block is not positive definite. A run caches it per (dt, diag)
+    (run_batch)."""
+    d, e, info = dpttrf(*banded_rows(n, h, dt / (h * h), diag), True, True)
+    if info > 0:
+        raise SpectralShiftError(f"matrix is not positive definite (minor {info})")
+    d.flags.writeable = e.flags.writeable = False
+    return d, e
 
 
 def _blocks(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,31 +322,18 @@ def _sum_error(a, b):
     return (a - (s - b_part)) + (b - b_part)
 
 
-@functools.lru_cache(maxsize=V_FACTORS)
-def _v_factor(n: int, h: float, dt: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The LDL^T factor (d, e) of the state-free auto-dt v block
-    banded_rows(n, h, dt/h^2, 1 + dt), read-only, and the two terms of
-    its last pivot that do not depend on the Robin row: the tumor row's
-    2*dt/h^2 + (1 + dt) and e_{n-1}*(-dt/h^2), each rounded as
-    banded_rows and dpttrf round them. Only that pivot depends on the
-    state (_solve_v_block); the rows above it are strictly diagonally
-    dominant, so their pivots are positive. Cached per (n, h, dt)."""
-    r = dt / (h * h)
-    d, e, _ = dpttrf(*banded_rows(n, h, r, 1.0 + dt), True, True)
-    d.flags.writeable = e.flags.writeable = False
-    return d, e, 2.0 * r + (1.0 + dt), float(e[-1]) * -r
-
-
-def _solve_v_block(grid: Grid1D, dt, beta, v: np.ndarray, b: np.ndarray) -> dict:
+def _solve_v_block(grid: Grid1D, factors, dt, beta, v: np.ndarray, b: np.ndarray) -> dict:
     """Overwrite b, the v rows of an auto-dt advance from v with flux
     slopes beta, with x: W*A x = W*(b + (A - A_exact) v). A is the block
     (1 + dt)*I + dt*(-d2/dx2) with the Robin row robin = -dt*beta as
-    banded_rows rounds it. Its factor is, bitwise, dpttrf's: the cached
-    _v_factor of the column's dt with the last pivot, the one pivot on
-    which beta acts, set from beta. For 0 <= beta <= mu1, -d2/dx2 with
-    the flux dw/dn = beta*w has its smallest eigenvalue in [-1, 0], -1
-    at beta = mu1 (see spectral), so the block's smallest W-eigenvalue
-    is at least 1 for every dt.
+    banded_rows rounds it. Its factor is, bitwise, dpttrf's: the factor
+    of the state-free block of the column's dt, factors(dt, 1 + dt), with
+    the last pivot, the one pivot on which beta acts, set from beta. The
+    rows above it are strictly diagonally dominant, so their pivots are
+    positive. For 0 <= beta <= mu1, -d2/dx2 with the flux dw/dn = beta*w
+    has its smallest eigenvalue in [-1, 0], -1 at beta = mu1 (see
+    spectral), so the block's smallest W-eigenvalue is at least 1 for
+    every dt.
 
     Rounded, the diagonal 2*dt/h^2 + (1 + dt) drops the low bits of
     1 + dt alike in every row: a bias of up to eps/h^2 in the decay rate,
@@ -361,10 +356,11 @@ def _solve_v_block(grid: Grid1D, dt, beta, v: np.ndarray, b: np.ndarray) -> dict
     columns = [(dt, beta, b)] if b.ndim == 1 else zip(dt.tolist(), beta.tolist(), b.T)
     errors = {}
     for j, (dt_j, beta_j, b_j) in enumerate(columns):
-        d, e, diag, shift = _v_factor(n, h, dt_j)
+        d, e = factors(dt_j, 1.0 + dt_j)
         # dpttrf's last pivot of the block with the Robin row -dt*beta,
         # rounded as banded_rows and dpttrf round it, and its own test
-        pivot = (diag + 2.0 * (-dt_j * beta_j) / h) * 0.5 - shift
+        r = dt_j / (h * h)
+        pivot = (2.0 * r + (1.0 + dt_j) + 2.0 * (-dt_j * beta_j) / h) * 0.5 - float(e[-1]) * -r
         if pivot <= 0.0:
             b_j[:] = np.nan
             errors[j] = SpectralShiftError(
@@ -437,16 +433,17 @@ def _solve_u_block(grid: Grid1D, terms: _Terms, dt, b: np.ndarray) -> None:
 
 
 def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list, dts: list,
-             solves=None, terms: _Terms | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
+             factors, terms: _Terms | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
     """One IMEX Euler step of the batch y, column j from time t[j] by
     dts[j]. y is a Fortran-ordered (n, 2k) array, the k u columns before
     the k v columns, or the (2n,) vector of a batch of one, whose cols is
-    then a ModelParams (see run_batch). A fixed-dt step passes solves,
-    the _step_factor of the dt all its columns share, and keeps the
-    chemotaxis and the tumor flux explicit. Without solves, an auto-dt
-    step, both are linearly implicit: _solve_u_block and _solve_v_block
-    solve the u and v blocks, from terms, the _state_terms of y, computed
-    here unless given.
+    then a ModelParams (see run_batch). factors(dt, diag) is the _factor
+    of the block diag*I + dt*(-d2/dx2), cached per run (run_batch). A
+    fixed-dt step, without terms, keeps the chemotaxis and the tumor flux
+    explicit, and all its columns share dts[0]: its u and v blocks are
+    solved with the factors of diag 1 and 1 + dt. An auto-dt step passes
+    terms, the _state_terms of y, and makes both linearly implicit:
+    _solve_u_block and _solve_v_block solve the u and v blocks.
 
     Returns the new batch, in y's layout, the minima of u and v per
     column as a (2, k) array, and the SolverError of each column whose
@@ -455,18 +452,16 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     """
     n, h = grid.n, grid.h
     u, v = _blocks(y, n)
-    # fixed dt: all columns share one dt, the dt of solves
-    dt = np.array(dts) if y.ndim == 2 and not solves else dts[0]
+    # fixed dt: all columns share one dt
+    dt = np.array(dts) if y.ndim == 2 and terms is not None else dts[0]
     # u + dt*(lam*u - u^2), less dt*div where the chemotaxis is explicit,
     # and v - dt*c*u*v, rounded as written, with few temporaries alive at once
-    if solves:
+    if terms is None:
         g = cols.lam * u
         g -= chemotaxis_divergence(grid, u, v, cols)
         g -= u * u
         g *= dt
     else:
-        if terms is None:
-            terms = _state_terms(grid, cols, y)
         g = terms.growth * dt
     # Fortran order, so that its blocks are contiguous and solved in place
     rhs = np.empty_like(y, order="F")
@@ -481,14 +476,15 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     # carries beta, and the explicit rest f(v_L) - beta*v_L is >= 0, as
     # beta <= f'(v_L) <= f(v_L)/v_L.
     errors = {}
-    if solves:
+    if terms is None:
         rhs_v[-1] += 2.0 * dt / h * boundary_flux_v(cols, v[-1])
-        for solve, block in zip(solves, (rhs_u, rhs_v)):
-            solve(block)
+        for block, diag in ((rhs_u, 1.0), (rhs_v, 1.0 + dt)):
+            block[::n - 1] *= 0.5  # W*b
+            dpttrs(*factors(dt, diag), block, True)  # in place on the block
     else:
         rhs_v[-1] += 2.0 * dt / h * terms.rest
         _solve_u_block(grid, terms, dt, rhs_u)
-        errors = _solve_v_block(grid, dt, terms.beta, v, rhs_v)
+        errors = _solve_v_block(grid, factors, dt, terms.beta, v, rhs_v)
     lows = _lows(rhs, n)
     if not (np.minimum.reduce(lows, axis=None) >= POSITIVITY_HARD_LIMIT
             and np.maximum.reduce(rhs, axis=None) < np.inf):
@@ -519,7 +515,7 @@ def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
         raise ValueError("step needs a fixed ctrl.dt; auto dt is run's")
     grid, n, dt = state.u.grid, state.u.grid.n, ctrl.dt
     y = np.concatenate((state.u.values, state.v.values))
-    y, _, errors = _advance(grid, p, y, [state.t], [dt], _step_factor(n, grid.h, dt))
+    y, _, errors = _advance(grid, p, y, [state.t], [dt], functools.partial(_factor, n, grid.h))
     if errors:
         raise errors[0]
     return SimState(state.t + dt, make_field(grid, y[:n]), make_field(grid, y[n:]))
@@ -680,8 +676,9 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     steps = 0
     t_end, auto = ctrl.t_end, ctrl.dt is None
     slack = END_SLACK * t_end
-    # fixed dt: the columns share t, so a step has one dt and one factor
-    factored = functools.cache(lambda dt: _step_factor(n, h, dt))
+    # the block factors of the run, by (dt, diag): the fixed-dt columns
+    # share t, so a step has one dt; auto dt rounds dt onto its ladder
+    factors = functools.lru_cache(V_FACTORS)(functools.partial(_factor, n, h))
 
     def settle(j):
         traj = trajs[live[j]]
@@ -706,8 +703,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                 t_new[j] = t_end
         # auto dt: the full step and every first half step from y share its terms
         terms = _state_terms(grid, cols, y) if auto else None
-        y_new, new_lows, errors = _advance(grid, cols, y, t, dts,
-                                           None if auto else factored(dts[0]), terms)
+        y_new, new_lows, errors = _advance(grid, cols, y, t, dts, factors, terms)
         acc = [j for j, p in enumerate(plain) if not p] if auto else []
         while acc:
             # two half steps, the second only from a midpoint cfl_dt admits;
@@ -715,15 +711,16 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             ca = cols if len(acc) == m else cols.take(acc)
             half = [dts[j] / 2 for j in acc]
             ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
-                                          terms=terms.take(acc, m))
+                                          factors, terms.take(acc, m))
             errors = {acc[i]: error for i, error in failed.items()} | errors
             safe = cfl_dt(_blocks(ym, n)[0], ca).reshape(-1).tolist()
             ok = [i for i, d in enumerate(half) if d <= safe[i]]
             done, err, retry = [acc[i] for i in ok], {}, []
             if ok:
                 cb, hb = ca if len(ok) == len(acc) else ca.take(ok), [half[i] for i in ok]
-                yh, _, failed = _advance(grid, cb, _take(ym, ok, len(acc)),
-                                         [t[j] + d for j, d in zip(done, hb)], hb)
+                y_mid = _take(ym, ok, len(acc))
+                yh, _, failed = _advance(grid, cb, y_mid, [t[j] + d for j, d in zip(done, hb)],
+                                         hb, factors, _state_terms(grid, cb, y_mid))
                 errors = {done[i]: error for i, error in failed.items()} | errors
                 y1 = _take(y_new, done, m)
                 scaled = np.abs(yh - y1) / (np.abs(yh) + ATOL)

@@ -1,5 +1,5 @@
 """Discrete operator diag + r*h^2*(-d2/dx2) with mirror boundary rows,
-and its LDL^T factor.
+and the LAPACK routines that factor and solve it.
 
 Boundary handling is ghost-node (mirror) elimination: the
 normal-derivative condition is written with a centered difference
@@ -15,11 +15,11 @@ is represented by b = -mu.
 Every matrix is stored as W*A, W = diag(1/2, 1, ..., 1, 1/2) the
 trapezoid weights: a symmetric tridiagonal (d, e) pair, solved by the
 no-pivot LDL^T of LAPACK dpttrf/dpttrs, which exists exactly when W*A is
-positive definite. One factor serves many solves: a fixed-dt step (see
-dynamics) factors its u and v blocks apart, once per dt, and solves all
-columns of a block in one call, in place. The v block of an auto-dt
-step carries its state in the Robin row alone, so dynamics caches the
-factor of its state-free rows per dt and sets only the last pivot. The
+positive definite. One factor serves many solves: dynamics caches the
+factors of its time-step blocks per run and dt, and a fixed-dt step
+solves all columns of a block in one call, in place. The v block of an
+auto-dt step carries its state in the Robin row alone, so it takes the
+cached factor of its state-free rows and sets only the last pivot. The
 nonsymmetric tridiagonal u block of an auto-dt step is solved by LAPACK
 dgtsv.
 
@@ -44,9 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SpectralShiftError
-
-__all__ = ["banded_rows", "factor"]
+__all__ = ["banded_rows"]
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -95,21 +93,3 @@ def banded_rows(n: int, h: float, r: float, diag: float | np.ndarray,
     d[-1] += 2.0 * robin / h
     d[::n - 1] *= 0.5  # half-width boundary cells
     return d, np.full(n - 1, -r)
-
-
-def factor(op: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """LDL^T factor of the (d, e) pair op as the in-place solve b -> A^-1 b;
-    SpectralShiftError if op is not positive definite.
-
-    b is a float vector of op's length, or a matrix of such columns; the
-    solve returns the solution, written over b when b is contiguous in
-    Fortran order.
-    """
-    d, e, info = dpttrf(*op)
-    if info > 0:
-        raise SpectralShiftError(f"matrix is not positive definite (minor {info})")
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        b[::len(d) - 1] *= 0.5  # W*b
-        return dpttrs(d, e, b, True)[0]  # overwrite_b
-    return solve

@@ -18,8 +18,8 @@ class SolverError(RuntimeError):
 
 
 class SpectralShiftError(SolverError):
-    """A matrix that must be positive definite is not: refused by
-    elliptic.factor, or the v block of an auto-dt step (dynamics)."""
+    """A matrix that must be positive definite is not: a time-step block
+    that dpttrf refuses, or the v block of an auto-dt step (dynamics)."""
 
 
 class PositivityError(SolverError):

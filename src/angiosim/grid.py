@@ -54,7 +54,7 @@ def make_grid(L: float, n: int) -> Grid1D:
     """Build a uniform grid with n nodes on (0, L)."""
     if not np.isfinite(L) or L <= 0:
         raise DomainConfigError(f"domain length L must be positive and finite, got {L}")
-    if int(n) != n or n < 3:
+    if not 3 <= n < np.inf or int(n) != n:  # nan and inf fail the first test
         raise DomainConfigError(f"node count n must be an integer >= 3, got {n}")
     return Grid1D(float(L), int(n))
 

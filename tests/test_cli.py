@@ -212,13 +212,18 @@ def test_cli_non_finite_step_exits_1(tmp_path, capsys):
     assert manifest["status"] == "error"
 
 
-def test_cli_bad_config_exits_2(tmp_path, capsys):
+def test_cli_bad_config_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {"grid": {"n": 2}})
     assert main(["mu1", "--config", cfg]) == 2
     assert "n" in capsys.readouterr().err
     cfg = write_config(tmp_path, {"time": {"dt_safety": 0.4}})
     assert main(["mu1", "--config", cfg]) == 2
     assert "time.dt_safety" in capsys.readouterr().err
+    # an empty --out is refused as an empty io.outdir is, and writes nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(["mu1", "--out", ""]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unknown_experiment_key_exits_2(tmp_path, capsys):

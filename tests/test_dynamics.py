@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from angiosim.dynamics import (
     write_diagnostics_csv,
     write_trajectory_csv,
 )
-from angiosim.elliptic import banded_rows, dpttrf, factor
+from angiosim.elliptic import banded_rows, dpttrf, dpttrs
 from angiosim.errors import PositivityError, SolverError, SpectralShiftError
 from angiosim.grid import const_field, l2_norm, make_field, make_grid, trapezoid
 from angiosim.harness import fit_decay
@@ -32,6 +33,18 @@ from angiosim.steady import theta_mu
 def _batch(u, v, k):
     # run_batch's state of k runs from (u, v): k u columns, then k v columns
     return np.asfortranarray(np.repeat(np.stack((u, v), axis=1), k, axis=1))
+
+
+def _factors(grid):
+    # the block factors of grid, uncached, as step takes them
+    return functools.partial(angiosim.dynamics._factor, grid.n, grid.h)
+
+
+def _auto_advance(grid, cols, y, t, dts):
+    # an auto-dt advance of the batch y, from its own _state_terms
+    dynamics = angiosim.dynamics
+    return dynamics._advance(grid, cols, y, t, dts, _factors(grid),
+                             dynamics._state_terms(grid, cols, y))
 
 
 def test_model_params_validation(zero_V):
@@ -164,7 +177,7 @@ def test_auto_dt_v_block_caps_the_flux_slope_at_mu1(grid65, dt):
     for b in (np.full(n, 1e-6), rng.uniform(0.0, 1.0, n),
               rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.3)):
         x = b.copy()
-        assert not angiosim.dynamics._solve_v_block(grid65, dt, beta, b, x)
+        assert not angiosim.dynamics._solve_v_block(grid65, _factors(grid65), dt, beta, b, x)
         assert np.isfinite(x).all() and x.min() >= 0.0
         np.testing.assert_allclose(times_block(x), w * b, rtol=0.0,
                                    atol=16.0 * scale * (1.0 + x.max()))
@@ -178,15 +191,16 @@ def test_auto_dt_v_block_that_does_not_factor_fails_its_column(grid65, monkeypat
     V = saturating_power(2.0)
     params = [ModelParams(lam=0.0, mu=mu, c=1.0, V=V) for mu in (50.0, 0.5)]
     y = _batch(np.zeros(n), np.full(n, 1e-6), 2)
-    _, _, errors = angiosim.dynamics._advance(
-        grid65, angiosim.dynamics._Columns.of(params), y, [0.0, 0.0], [1.0, 1.0])
+    _, _, errors = _auto_advance(grid65, angiosim.dynamics._Columns.of(params), y,
+                                 [0.0, 0.0], [1.0, 1.0])
     assert list(errors) == [0] and isinstance(errors[0], SpectralShiftError)
 
 
 @pytest.mark.parametrize("n", [3, 65, 257, 8193])
 def test_cached_v_factor_with_its_pivot_is_dpttrfs(n, monkeypatch):
-    # A column's v factor is the cached factor of the state-free block of
-    # its dt with the last pivot set from beta: bitwise dpttrf's factor
+    # A column's v factor is the factor of the state-free block of its
+    # dt, as a run caches it, with the last pivot set from beta: bitwise
+    # dpttrf's factor
     # of the whole block, failing exactly where dpttrf reports its last
     # minor. Uncapped, slopes above mu1 make indefinite blocks too.
     dynamics = angiosim.dynamics
@@ -199,10 +213,11 @@ def test_cached_v_factor_with_its_pivot_is_dpttrfs(n, monkeypatch):
     factors = []
     monkeypatch.setattr(dynamics, "dpttrs", lambda d, e, b, overwrite: factors.append((d, e)))
     k, failed = len(betas), 0
+    cached = functools.lru_cache(dynamics.V_FACTORS)(_factors(grid))
     for rung in range(-400, 201):
         dt = 2.0 ** (rung / dynamics.DT_RUNGS)
         factors.clear()
-        errors = dynamics._solve_v_block(grid, np.full(k, dt), np.array(betas),
+        errors = dynamics._solve_v_block(grid, cached, np.full(k, dt), np.array(betas),
                                          np.zeros((n, k)), np.ones((n, k), order="F"))
         solved = iter(factors)
         for j, beta in enumerate(betas):
@@ -218,21 +233,16 @@ def test_cached_v_factor_with_its_pivot_is_dpttrfs(n, monkeypatch):
     assert 0 < failed < 601 * k
 
 
-def test_auto_dt_run_factors_its_v_block_once_per_dt(grid65, monkeypatch):
-    # The ladder puts most steps on a dt already factored: the run calls
-    # dpttrf once per distinct dt (31 for 262 v solves, within
-    # V_FACTORS), and its results are bitwise those of the same run
-    # factoring every v block anew.
+def _count_v_factors(monkeypatch):
+    # the dts of the auto-dt v-block solves, and the dpttrf calls, as
+    # they are made
     dynamics = angiosim.dynamics
-    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
-    u0 = make_field(grid65, 0.5 + 0.1 * np.cos(np.pi * grid65.nodes))
-    v0, ctrl = const_field(grid65, 0.5), StepControl(t_end=40.0, output_every=1)
     dts, factored = [], []
     solve_v_block, dpttrf_ = dynamics._solve_v_block, dynamics.dpttrf
 
-    def recorded(grid, dt, *rest):
+    def recorded(grid, factors, dt, *rest):
         dts.append(dt)
-        return solve_v_block(grid, dt, *rest)
+        return solve_v_block(grid, factors, dt, *rest)
 
     def counted(*args):
         factored.append(1)
@@ -240,20 +250,28 @@ def test_auto_dt_run_factors_its_v_block_once_per_dt(grid65, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_solve_v_block", recorded)
     monkeypatch.setattr(dynamics, "dpttrf", counted)
-    dynamics._v_factor.cache_clear()
-    cached = run(u0, v0, p, ctrl)
+    return dts, factored
+
+
+def _auto_dt_run(grid):
+    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    u0 = make_field(grid, 0.5 + 0.1 * np.cos(np.pi * grid.nodes))
+    return run(u0, const_field(grid, 0.5), p, StepControl(t_end=40.0, output_every=1))
+
+
+def test_auto_dt_run_factors_its_v_block_once_per_dt(grid65, monkeypatch):
+    # The ladder puts most steps on a dt already factored: the run calls
+    # dpttrf once per distinct dt (31 for 262 v solves, within
+    # V_FACTORS), and its results are bitwise those of the same run
+    # factoring every v block anew (a cache of V_FACTORS = 0).
+    dts, factored = _count_v_factors(monkeypatch)
+    cached = _auto_dt_run(grid65)
     solves, distinct = len(dts), len(set(dts))
     assert len(factored) == distinct < solves / 2
 
-    v_factor = dynamics._v_factor
-
-    def uncached(*key):
-        v_factor.cache_clear()
-        return v_factor(*key)
-
-    monkeypatch.setattr(dynamics, "_v_factor", uncached)
+    monkeypatch.setattr(angiosim.dynamics, "V_FACTORS", 0)
     factored.clear()
-    fresh = run(u0, v0, p, ctrl)
+    fresh = _auto_dt_run(grid65)
     assert len(factored) == len(dts) - solves == solves
     for name in DIAG_COLUMNS:
         assert cached.diagnostics[name].tobytes() == fresh.diagnostics[name].tobytes()
@@ -265,6 +283,17 @@ def test_auto_dt_run_factors_its_v_block_once_per_dt(grid65, monkeypatch):
     for name in ("steps_taken", "dt_min", "dt_max", "steps_extrapolated", "steps_cfl_bound",
                  "steps_rejected", "min_u_overall", "min_v_overall"):
         assert getattr(cached, name) == getattr(fresh, name)
+
+
+def test_auto_dt_runs_do_not_share_factors(grid65, monkeypatch):
+    # a run's factors die with it: a second identical run in the same
+    # process factors its v block once per distinct dt of its own again
+    dts, factored = _count_v_factors(monkeypatch)
+    for _ in range(2):
+        dts.clear()
+        factored.clear()
+        _auto_dt_run(grid65)
+        assert len(factored) == len(set(dts)) > 0
 
 
 def test_dt_ladder_rounds_down_to_the_nearest_rung():
@@ -345,8 +374,7 @@ def test_u_block_reproduces_the_explicit_upwind_flux_at_the_old_state(grid65):
 def test_auto_dt_advance_at_cfl_dt_stays_nonnegative(grid65):
     for u, v, p in _adversarial_states(grid65):
         dt = cfl_dt(u, p)
-        y, lows, errors = angiosim.dynamics._advance(
-            grid65, p, np.concatenate((u, v)), [0.0], [dt])
+        y, lows, errors = _auto_advance(grid65, p, np.concatenate((u, v)), [0.0], [dt])
         assert not errors and lows.min() >= 0.0 and y.min() >= 0.0
 
 
@@ -368,7 +396,7 @@ def test_auto_dt_advance_keeps_the_mass_identity(n, k):
     cols = params[0]
     if k > 1:
         y, cols = _batch(u, v, k), angiosim.dynamics._Columns.of(params)
-    y_new, _, errors = angiosim.dynamics._advance(g, cols, y, [0.0] * k, dts)
+    y_new, _, errors = _auto_advance(g, cols, y, [0.0] * k, dts)
     assert not errors
     for j, (p, dt) in enumerate(zip(params, dts)):
         x_new = y_new.reshape((n, -1), order="F")[:, j]  # a batch of one is its (n, 2) array
@@ -495,13 +523,13 @@ def test_fixed_dt_run_factors_once_per_dt(grid65, monkeypatch, t_end, factors):
     # dt = 1/8 keeps every t exact: t_end = 1 takes 8 full steps, while
     # t_end = 1.05 clips the last step to 0.05 and needs its own factor
     calls = []
-    original = angiosim.dynamics.factor
+    original = angiosim.dynamics._factor
 
-    def counted(op):
+    def counted(*args):
         calls.append(1)
-        return original(op)
+        return original(*args)
 
-    monkeypatch.setattr(angiosim.dynamics, "factor", counted)
+    monkeypatch.setattr(angiosim.dynamics, "_factor", counted)
     p = ModelParams(lam=0.3, mu=0.8, c=1.0, V=saturating_power(2.0))
     traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
                StepControl(t_end=t_end, dt=0.125))
@@ -510,20 +538,23 @@ def test_fixed_dt_run_factors_once_per_dt(grid65, monkeypatch, t_end, factors):
 
 
 def test_step_factor_matches_per_block_solves(grid65):
-    # the fixed-dt solve of an (n, 2k) state, each block's k columns at
-    # once and in place, has the bits of each column's solo solve; so
-    # has a batch of one's (2n,) vector
+    # the fixed-dt solve of an (n, 2k) state with the read-only factors of
+    # _factor, each block's k columns at once and in place, has the bits
+    # of each column's solo solve with a fresh dpttrf factor; so has a
+    # batch of one's (2n,) vector
     n, h, dt = grid65.n, grid65.h, 0.3
     r = dt / (h * h)
     rng = np.random.default_rng(0)
     for k in (1, 3):
         rhs = np.asfortranarray(rng.random((n, 2 * k)))
+        rhs[[0, -1]] *= 0.5  # W*b
         y = rhs.copy(order="F")
         blocks = angiosim.dynamics._blocks(y if k > 1 else y.ravel(order="F"), n)
-        for solve, block in zip(angiosim.dynamics._step_factor(n, h, dt), blocks):
-            assert solve(block) is block
+        for diag, block in zip((1.0, 1.0 + dt), blocks):
+            assert dpttrs(*angiosim.dynamics._factor(n, h, dt, diag), block, True)[0] is block
         for j in range(2 * k):
-            alone = factor(banded_rows(n, h, r, 1.0 if j < k else 1.0 + dt))(rhs[:, j].copy())
+            d, e, _ = dpttrf(*banded_rows(n, h, r, 1.0 if j < k else 1.0 + dt))
+            alone = dpttrs(d, e, rhs[:, j].copy())[0]
             assert y[:, j].tobytes() == alone.tobytes()
 
 
@@ -635,8 +666,8 @@ def test_theta_is_fixed_point_of_the_step(grid65, dt):
     assert traj.times[-1] == pytest.approx(5.0, abs=1e-12)
     assert np.abs(traj.final_state().v.values - theta.values).max() <= 1e-10
     n = grid65.n
-    y, _, errors = angiosim.dynamics._advance(
-        grid65, p, np.concatenate((np.zeros(n), theta.values)), [0.0], [dt])
+    y, _, errors = _auto_advance(grid65, p, np.concatenate((np.zeros(n), theta.values)),
+                                 [0.0], [dt])
     assert not errors and np.all(y[:n] == 0.0)
     assert np.abs(y[n:] - theta.values).max() <= 1e-10
 

@@ -7,7 +7,8 @@ import pytest
 from scipy.linalg import lapack
 
 from angiosim import elliptic
-from angiosim.elliptic import banded_rows, factor
+from angiosim.dynamics import _factor
+from angiosim.elliptic import banded_rows, dpttrf, dpttrs
 from angiosim.errors import SpectralShiftError
 from angiosim.grid import const_field, make_field, make_grid
 
@@ -32,8 +33,13 @@ def assemble(grid, a, robin_b=0.0):
 
 
 def solve_linear(op, rhs):
-    """factor(op) applied to a copy of rhs."""
-    return factor(op)(np.array(rhs, dtype=float))
+    """W*A w = W*rhs for the positive definite (d, e) pair op of W*A, by
+    dpttrf and dpttrs, as dynamics solves its time-step blocks."""
+    d, e, info = dpttrf(*op)
+    assert info == 0
+    b = np.array(rhs, dtype=float)
+    b[[0, -1]] *= 0.5  # W*rhs
+    return dpttrs(d, e, b)[0]
 
 
 def linear_residual(grid, a, robin_b, w):
@@ -132,10 +138,14 @@ def test_solve_linear_residual_contract():
 
 def test_solve_linear_rejects_indefinite_operator(grid65):
     # a Robin flux mu = 1.5 above the threshold tanh(1) gives -d2/dx2 + 1
-    # a negative principal eigenvalue: W @ A is indefinite
+    # a negative principal eigenvalue: W @ A is indefinite, and dpttrf
+    # reports a minor that is not positive definite. dynamics' _factor
+    # refuses such a block: with diag < 0 the constant vector's
+    # eigenvalue, diag, is negative.
     op = assemble(grid65, const_field(grid65, 1.0), -1.5)
+    assert dpttrf(*op)[2] > 0
     with pytest.raises(SpectralShiftError, match="not positive definite"):
-        solve_linear(op, np.ones(grid65.n))
+        _factor(grid65.n, grid65.h, 1.0, -0.5)
 
 
 def test_discrete_maximum_principle():
@@ -185,7 +195,7 @@ def test_operator_diagonally_dominant_for_nonneg_potential(grid65):
 
 def test_ldlt_routines_match_scipy_lapack_bitwise():
     # the directly loaded routines against scipy.linalg.lapack's, called
-    # the way factor calls them: in place on one column and on a
+    # the way dynamics calls them: in place on one column and on a
     # Fortran-ordered matrix of 12
     rng = np.random.default_rng(257)
     n = 257

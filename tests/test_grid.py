@@ -27,7 +27,8 @@ def test_grid_nodes_equispaced_and_immutable():
         g.nodes[0] = 1.0
 
 
-@pytest.mark.parametrize("L, n", [(0.0, 5), (-1.0, 5), (1.0, 2), (1.0, 1), (math.inf, 5)])
+@pytest.mark.parametrize("L, n", [(0.0, 5), (-1.0, 5), (1.0, 2), (1.0, 1), (math.inf, 5),
+                                  (1.0, math.inf), (1.0, math.nan)])
 def test_make_grid_rejects_bad_domains(L, n):
     with pytest.raises(DomainConfigError):
         make_grid(L, n)
