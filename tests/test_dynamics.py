@@ -200,9 +200,9 @@ def test_auto_dt_v_block_that_does_not_factor_fails_its_column(grid65, monkeypat
 def test_cached_v_factor_with_its_pivot_is_dpttrfs(n, monkeypatch):
     # A column's v factor is the factor of the state-free block of its
     # dt, as a run caches it, with the last pivot set from beta: bitwise
-    # dpttrf's factor
-    # of the whole block, failing exactly where dpttrf reports its last
-    # minor. Uncapped, slopes above mu1 make indefinite blocks too.
+    # dpttrf's factor of the whole block, failing exactly where dpttrf
+    # reports its last minor. Uncapped, slopes above mu1 make indefinite
+    # blocks too.
     dynamics = angiosim.dynamics
     grid = make_grid(1.0, n)
     h, mu1 = grid.h, compute_mu1(grid)
