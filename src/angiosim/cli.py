@@ -222,7 +222,7 @@ def main(argv=None) -> int:
         exp = cfg.experiment_values(args.subcommand)
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,7 +64,7 @@ dt the blocks are solved column by column. Time control is per
 column: half steps run on the accuracy-bound columns only, and a
 column leaves the batch when it reaches t_end or its step fails. One
 pass records the diagnostics of all columns due at a step.
-run is a batch of one, and step is one plain step of it.
+run is a batch of one.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -99,7 +99,6 @@ __all__ = [
     "StepControl",
     "Trajectory",
     "cfl_dt",
-    "step",
     "run",
     "run_batch",
     "chemotaxis_divergence",
@@ -505,20 +504,6 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
                     min_value=float(low[j]),
                 )
     return rhs, lows, errors
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def step(state: SimState, p: ModelParams, ctrl: StepControl) -> SimState:
-    """One IMEX Euler step of the fixed ctrl.dt, taken as a batch of one.
-    Auto dt needs the step history that only run_batch keeps."""
-    if ctrl.dt is None:
-        raise ValueError("step needs a fixed ctrl.dt; auto dt is run's")
-    grid, n, dt = state.u.grid, state.u.grid.n, ctrl.dt
-    y = np.concatenate((state.u.values, state.v.values))
-    y, _, errors = _advance(grid, p, y, [state.t], [dt], functools.partial(_factor, n, grid.h))
-    if errors:
-        raise errors[0]
-    return SimState(state.t + dt, make_field(grid, y[:n]), make_field(grid, y[n:]))
 
 
 @dataclass

@@ -19,7 +19,6 @@ __all__ = [
     "make_grid",
     "make_field",
     "const_field",
-    "norm",
     "trapezoid",
     "l2_norm",
     "field_to_csv",
@@ -42,12 +41,6 @@ class Grid1D:
         nodes.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", nodes)
-
-    def quadrature_weights(self) -> np.ndarray:
-        """Trapezoidal weights: h at interior nodes, h/2 at the ends."""
-        w = np.full(self.n, self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        return w
 
 
 def make_grid(L: float, n: int) -> Grid1D:
@@ -99,15 +92,6 @@ def trapezoid(h: float, v: np.ndarray) -> float:
 def l2_norm(h: float, v: np.ndarray) -> float:
     """Quadrature-based L2 norm of nodal values v at spacing h."""
     return float(np.sqrt(max(trapezoid(h, v * v), 0.0)))
-
-
-def norm(f: Field, kind: str = "L2") -> float:
-    """L2 (quadrature-based) or Linf norm of a field."""
-    if kind == "L2":
-        return l2_norm(f.grid.h, f.values)
-    if kind == "Linf":
-        return float(np.abs(f.values).max())
-    raise ValueError(f"unknown norm kind {kind!r}; expected 'L2' or 'Linf'")
 
 
 def field_to_csv(f: Field, fh) -> None:

@@ -143,14 +143,13 @@ def mass_audit(traj: Trajectory, tau: float = 1.0) -> MassAudit:
 
 @dataclass
 class RegimeReport:
-    """Classification of one run's limit plus all supporting audits."""
+    """Classification of one run's limit plus all supporting audits. The
+    report reads its parameters, grid and step statistics from the
+    objects it holds: params, grid and trajectory."""
 
-    lam: float
-    mu: float
-    c: float
-    sensitivity: dict
-    grid_L: float
-    grid_n: int
+    params: ModelParams
+    grid: Grid1D
+    trajectory: Trajectory
     t_end: float
     verdict: str
     mu1: float
@@ -159,12 +158,6 @@ class RegimeReport:
     final_dist_v: float          # inf-norm of v(t_end), or L2 dist to theta
     final_linf_u: float
     final_linf_v: float
-    steps: int                   # time steps of the run and their dt range
-    dt_min: float
-    dt_max: float
-    steps_extrapolated: int      # auto dt: step kinds and rejections
-    steps_cfl_bound: int
-    steps_rejected: int
     fits: list = field(default_factory=list)
     mass: MassAudit | None = None
     positivity_ok: bool = True
@@ -182,14 +175,15 @@ class RegimeReport:
         return None
 
     def to_json_dict(self) -> dict:
+        p, traj = self.params, self.trajectory
         return {
             "params": {
-                "lambda": self.lam,
-                "mu": self.mu,
-                "c": self.c,
-                "sensitivity": self.sensitivity,
+                "lambda": p.lam,
+                "mu": p.mu,
+                "c": p.c,
+                "sensitivity": p.V.describe(),
             },
-            "grid": {"L": self.grid_L, "n": self.grid_n},
+            "grid": {"L": self.grid.L, "n": self.grid.n},
             "t_end": self.t_end,
             "verdict": self.verdict,
             "mu1": self.mu1,
@@ -198,12 +192,12 @@ class RegimeReport:
             "final_dist_v": self.final_dist_v,
             "final_linf_u": self.final_linf_u,
             "final_linf_v": self.final_linf_v,
-            "steps": self.steps,
-            "dt_min": self.dt_min,
-            "dt_max": self.dt_max,
-            "steps_extrapolated": self.steps_extrapolated,
-            "steps_cfl_bound": self.steps_cfl_bound,
-            "steps_rejected": self.steps_rejected,
+            "steps": traj.steps_taken,
+            "dt_min": traj.dt_min,
+            "dt_max": traj.dt_max,
+            "steps_extrapolated": traj.steps_extrapolated,
+            "steps_cfl_bound": traj.steps_cfl_bound,
+            "steps_rejected": traj.steps_rejected,
             "fits": [f.to_json_dict() for f in self.fits],
             "mass_audit": self.mass.to_json_dict() if self.mass else None,
             "positivity_ok": self.positivity_ok,
@@ -295,12 +289,9 @@ def classify_regime(
         fit_errors.append(f"hypothesis check failed: {exc}")
 
     return RegimeReport(
-        lam=p.lam,
-        mu=p.mu,
-        c=p.c,
-        sensitivity=p.V.describe(),
-        grid_L=grid.L,
-        grid_n=grid.n,
+        params=p,
+        grid=grid,
+        trajectory=traj,
         t_end=t_end,
         verdict=verdict,
         mu1=mu1,
@@ -309,12 +300,6 @@ def classify_regime(
         final_dist_v=dist_v,
         final_linf_u=linf_u,
         final_linf_v=linf_v,
-        steps=traj.steps_taken,
-        dt_min=traj.dt_min,
-        dt_max=traj.dt_max,
-        steps_extrapolated=traj.steps_extrapolated,
-        steps_cfl_bound=traj.steps_cfl_bound,
-        steps_rejected=traj.steps_rejected,
         fits=fits,
         mass=mass,
         positivity_ok=positivity_ok,
@@ -338,8 +323,8 @@ def _sweep_row(report: RegimeReport) -> dict:
     v_fit = report.fit_for("linf_v")
     u_fit = report.fit_for("l2_u_minus_lam")
     return {
-        "lambda": report.lam,
-        "mu": report.mu,
+        "lambda": report.params.lam,
+        "mu": report.params.mu,
         "mu1": report.mu1,
         "alpha_mu": report.alpha_mu,
         "verdict": report.verdict,

@@ -19,9 +19,9 @@ import pytest
 from conftest import record_criterion
 
 from angiosim.cli import main as cli_main
-from angiosim.dynamics import ModelParams, SimState, StepControl, run, step
+from angiosim.dynamics import ModelParams, StepControl, run
 from angiosim.errors import BelowThresholdError
-from angiosim.grid import const_field, make_field, make_grid, norm
+from angiosim.grid import const_field, l2_norm, make_grid
 from angiosim.harness import classify_regime, mass_audit
 from angiosim.sensitivity import saturating_power
 from angiosim.spectral import alpha_of_mu, compute_mu1, principal_eigen
@@ -302,9 +302,7 @@ def test_criterion_6b_density_extinction(regime_c):
 def test_criterion_6c_attractant_converges_to_theta(regime_c):
     grid, _, traj = regime_c["grid"], regime_c["p"], regime_c["traj"]
     theta = regime_c["theta"]
-    dist = norm(
-        make_field(grid, traj.final_state().v.values - theta.values), "L2"
-    )
+    dist = l2_norm(grid.h, traj.final_state().v.values - theta.values)
     ok = dist < THRESHOLD
     record_criterion("6c high-flux regime: v -> theta at t=100", ok,
                      f"l2 dist={dist:.2e} (slaved to u's ~1/t tail)")
@@ -376,11 +374,10 @@ def test_criterion_8b_supersolution_domination(regime_a, supersolution_twin):
 
 def test_criterion_8c_zero_density_invariance(grid257):
     p = ModelParams(lam=1.0, mu=1.2, c=1.0, V=saturating_power(2.0))
-    state = SimState(0.0, const_field(grid257, 0.0), const_field(grid257, 0.5))
-    ctrl = StepControl(t_end=1.0, dt=0.002)
-    for _ in range(50):
-        state = step(state, p, ctrl)
-    ok = bool(np.all(state.u.values == 0.0))
+    ctrl = StepControl(t_end=0.1, dt=0.002, output_every=1)
+    traj = run(const_field(grid257, 0.0), const_field(grid257, 0.5), p, ctrl)
+    assert traj.steps_taken == 50
+    ok = all(np.all(state.u.values == 0.0) for state in traj.states)
     record_criterion("8c zero density exactly invariant", ok, "")
     assert ok
 
@@ -440,9 +437,7 @@ def test_supplementary_long_horizon_limits():
     high = run(u0, v0, p_high, ctrl)
     theta = theta_mu(grid, 1.2)
     linf_u_high = float(np.abs(high.final_state().u.values).max())
-    dist_v_high = norm(
-        make_field(grid, high.final_state().v.values - theta.values), "L2"
-    )
+    dist_v_high = l2_norm(grid.h, high.final_state().v.values - theta.values)
     ok = max(linf_u_low, linf_v_low, linf_u_high, dist_v_high) < THRESHOLD
     record_criterion(
         "supplementary: limits reached at t=2500",

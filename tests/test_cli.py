@@ -278,6 +278,15 @@ def test_cli_classify_report(tmp_path):
     cfg = write_config(tmp_path, doc)
     assert main(["classify", "--config", cfg]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert set(report) == {
+        "params", "grid", "t_end", "verdict", "mu1", "alpha_mu",
+        "final_dist_u", "final_dist_v", "final_linf_u", "final_linf_v",
+        "steps", "dt_min", "dt_max", "steps_extrapolated", "steps_cfl_bound",
+        "steps_rejected", "fits", "mass_audit", "positivity_ok", "min_u_late",
+        "min_v_late", "hypothesis_h1", "hypothesis_envelope", "fit_errors",
+    }
+    assert set(report["params"]) == {"lambda", "mu", "c", "sensitivity"}
+    assert set(report["grid"]) == {"L", "n"}
     assert report["params"]["lambda"] == 1.0
     t_end = report["t_end"]
     assert report["fits"] and all(
@@ -457,6 +466,11 @@ def test_cli_manifest_round_trip(tmp_path):
 
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["mu1", "--config", str(tmp_path / "nope.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    # a file that is not UTF-8 is a configuration error too, not a traceback
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"grid": {"n": 9}, "x": "\xff"}')
+    assert main(["mu1", "--config", str(latin1)]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 

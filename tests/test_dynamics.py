@@ -17,7 +17,6 @@ from angiosim.dynamics import (
     chemotaxis_divergence,
     run,
     run_batch,
-    step,
     write_diagnostics_csv,
     write_trajectory_csv,
 )
@@ -36,7 +35,7 @@ def _batch(u, v, k):
 
 
 def _factors(grid):
-    # the block factors of grid, uncached, as step takes them
+    # the block factors of grid, uncached
     return functools.partial(angiosim.dynamics._factor, grid.n, grid.h)
 
 
@@ -96,11 +95,11 @@ def test_logistic_growth_closed_form(grid65, zero_V):
 
 def test_zero_u_is_invariant(grid65):
     p = ModelParams(lam=0.5, mu=0.5, c=1.0, V=saturating_power(2.0))
-    state = SimState(0.0, const_field(grid65, 0.0), const_field(grid65, 0.5))
-    ctrl = StepControl(t_end=1.0, dt=0.01)
+    ctrl = StepControl(t_end=0.4, dt=0.01, output_every=1)
+    traj = run(const_field(grid65, 0.0), const_field(grid65, 0.5), p, ctrl)
+    assert traj.steps_taken == 40
     v_linf = []
-    for _ in range(40):
-        state = step(state, p, ctrl)
+    for state in traj.states[1:]:
         assert np.all(state.u.values == 0.0)
         v_linf.append(np.abs(state.v.values).max())
     # mu = 0.5 < threshold: v decays once the boundary layer has formed
@@ -110,10 +109,10 @@ def test_zero_u_is_invariant(grid65):
 
 def test_zero_v_is_invariant(grid65):
     p = ModelParams(lam=1.0, mu=0.5, c=1.0, V=saturating_power(2.0))
-    state = SimState(0.0, const_field(grid65, 0.5), const_field(grid65, 0.0))
-    ctrl = StepControl(t_end=1.0, dt=0.01)
-    for _ in range(10):
-        state = step(state, p, ctrl)
+    ctrl = StepControl(t_end=0.1, dt=0.01, output_every=1)
+    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.0), p, ctrl)
+    assert traj.steps_taken == 10
+    for state in traj.states[1:]:
         assert np.all(state.v.values == 0.0)
 
 
@@ -129,13 +128,6 @@ def test_cfl_dt_zero_state(grid65, zero_V):
     consuming = ModelParams(lam=0.0, mu=0.5, c=5.0, V=zero_V)
     assert cfl_dt(one, consuming) == pytest.approx(
         DT_SAFETY * 0.1, abs=1e-15)
-
-
-def test_step_refuses_auto_dt(grid65):
-    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
-    start = SimState(0.0, const_field(grid65, 0.5), const_field(grid65, 0.5))
-    with pytest.raises(ValueError, match="fixed ctrl.dt"):
-        step(start, p, StepControl(t_end=1.0))
 
 
 def test_auto_dt_first_step_from_zero_density_is_bounded(grid65):
@@ -783,26 +775,6 @@ def test_run_determinism(grid65):
     assert list(a.times) == list(b.times)
 
 
-def test_run_matches_step_loop_bitwise(grid65):
-    # run steps on plain arrays, step on Fields: both must take the same
-    # arithmetic path. dt = 2^-7 keeps every t exact, so run never
-    # shortens its last step.
-    p = ModelParams(lam=0.3, mu=1.2, c=1.0, V=saturating_power(2.0))
-    ctrl = StepControl(t_end=0.25, dt=2.0**-7, output_every=8)
-    u0 = make_field(grid65, 0.5 + 0.1 * np.cos(np.pi * grid65.nodes))
-    v0 = const_field(grid65, 0.5)
-    traj = run(u0, v0, p, ctrl)
-    assert traj.steps_taken == 32
-    state = SimState(0.0, u0, v0)
-    for k in range(1, 33):
-        state = step(state, p, ctrl)
-        if k % 8 == 0:
-            snap = traj.states[k // 8]
-            assert snap.t == state.t
-            assert np.array_equal(snap.u.values, state.u.values)
-            assert np.array_equal(snap.v.values, state.v.values)
-
-
 def test_trajectory_csv_writers(grid65, tmp_path):
     p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     ctrl = StepControl(t_end=0.2, dt=0.01, output_every=10)
@@ -904,7 +876,9 @@ def test_chemotaxis_divergence_telescopes_to_the_tumor_flux(grid65):
     rng = np.random.default_rng(3)
     u, v = rng.random(grid65.n), rng.random(grid65.n)
     p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
-    terms = grid65.quadrature_weights() * chemotaxis_divergence(grid65, u, v, p)
+    w = np.full(grid65.n, grid65.h)  # the trapezoid weights
+    w[0] = w[-1] = 0.5 * grid65.h
+    terms = w * chemotaxis_divergence(grid65, u, v, p)
     tumor = float(p.V.V(u[-1])) * p.mu * v[-1] / (1.0 + v[-1])
     assert terms.sum() == pytest.approx(tumor, rel=0.0, abs=1e-14 * np.abs(terms).sum())
 

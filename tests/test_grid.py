@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from angiosim.errors import DomainConfigError
-from angiosim.grid import const_field, field_to_csv, make_field, make_grid, norm, trapezoid
+from angiosim.grid import field_to_csv, l2_norm, make_field, make_grid, trapezoid
 
 
 def test_make_grid_nodes():
@@ -76,22 +76,13 @@ def test_integrate_refinement_order():
 
 def test_norm_zero_and_constant():
     g = make_grid(1.0, 9)
-    z = const_field(g, 0.0)
-    assert norm(z, "L2") == 0.0
-    assert norm(z, "Linf") == 0.0
-    two = const_field(g, 2.0)
-    assert norm(two, "L2") == pytest.approx(2.0, abs=1e-14)
-    assert norm(two, "Linf") == 2.0
+    assert l2_norm(g.h, np.zeros(g.n)) == 0.0
+    assert l2_norm(g.h, np.full(g.n, 2.0)) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_norm_sine(grid1025):
-    f = make_field(grid1025, np.sin(np.pi * grid1025.nodes))
-    assert norm(f, "L2") == pytest.approx(math.sqrt(0.5), abs=1e-6)
-
-
-def test_norm_rejects_unknown_kind(grid65):
-    with pytest.raises(ValueError):
-        norm(const_field(grid65, 1.0), "L7")
+    sine = np.sin(np.pi * grid1025.nodes)
+    assert l2_norm(grid1025.h, sine) == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
 
 def test_field_csv_round_trip(grid65):
