@@ -102,19 +102,18 @@ def _cmd_steady(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
 
 
 def _run_trajectory(cfg: RunConfig):
-    grid = cfg.grid()
-    u0, v0 = cfg.initial_data(grid)
-    return grid, run(u0, v0, cfg.params(), cfg.control())
+    u0, v0 = cfg.initial_data(cfg.grid())
+    return run(u0, v0, cfg.params(), cfg.control())
 
 
 def _cmd_simulate(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
-    grid, traj = _run_trajectory(cfg)
+    traj = _run_trajectory(cfg)
     outputs = []
     if "csv" in cfg.formats:
         with open(outdir / "trajectory.csv", "w", encoding="utf-8", newline="") as fh:
             write_trajectory_csv(traj, fh)
         try:
-            theta = theta_mu(grid, cfg.mu)
+            theta = theta_mu(traj.grid, cfg.mu)
         except BelowThresholdError:
             theta = None
         with open(outdir / "diagnostics.csv", "w", encoding="utf-8", newline="") as fh:
@@ -124,8 +123,8 @@ def _cmd_simulate(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
 
 
 def _cmd_classify(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
-    grid, traj = _run_trajectory(cfg)
-    report = classify_regime(traj, cfg.params(), grid, **exp)
+    traj = _run_trajectory(cfg)
+    report = classify_regime(traj, **exp)
     _json_dump(report.to_json_dict(), outdir / "report.json")
     outputs = ["report.json"]
     if "csv" in cfg.formats:

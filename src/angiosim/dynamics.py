@@ -58,13 +58,15 @@ then the k v columns, one of each per run. Each block is then one
 contiguous n*k vector (_blocks), in which dpttrs solves in place and
 the fixed-dt stencil takes one 1-D pass per stage. So a step evaluates
 the explicit terms once per block. A batch of one keeps its (2n,)
-vector, u above v: the same memory. Under fixed dt all columns share
-one dt and one factor per block, and one solve per block; under auto
-dt the blocks are solved column by column. Time control is per
-column: half steps run on the accuracy-bound columns only, and a
-column leaves the batch when it reaches t_end or its step fails. One
-pass records the diagnostics of all columns due at a step.
-run is a batch of one.
+vector, u above v: the same memory, and Python floats for its dt,
+cfl_dt bound and tumor-row terms. Under fixed dt all columns share one
+dt and one factor per block, and one solve per block; under auto dt
+the blocks are solved column by column. Time control is per column:
+half steps run on the accuracy-bound columns only, and a column leaves
+the batch when it reaches t_end or its step fails. Two reduces over
+the batch find a failed advance; the running minima of u and v are
+taken once per step. One pass records the diagnostics of all columns
+due at a step. run is a batch of one.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -254,8 +256,9 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
 
 
 def cfl_dt(u: np.ndarray, p: ModelParams):
-    """Largest auto dt the explicit reactions admit, times DT_SAFETY; one
-    per column when u is (n, k) and p holds a batch's parameters.
+    """Largest auto dt the explicit reactions admit, times DT_SAFETY: a
+    Python float when u is (n,), and one per column, an array, when u is
+    (n, k) and p holds a batch's parameters.
 
     The bound for the explicit lam*u - u^2 and -c*u*v is
     0.5 / max(|lam| + 2*max u, c*max u). The decay -v and, in an auto-dt
@@ -264,8 +267,10 @@ def cfl_dt(u: np.ndarray, p: ModelParams):
     of each u_i and v_i, so the right-hand sides stay nonnegative, and
     so do the M-matrix solves after them.
     """
-    linf_u = np.maximum.reduce(np.abs(u), axis=0)
-    rate = np.maximum(np.maximum(np.abs(p.lam) + 2.0 * linf_u, p.c * linf_u), RATE_FLOOR)
+    linf_u, maximum = np.maximum.reduce(np.abs(u), axis=0), np.maximum
+    if u.ndim == 1:  # a Python float, whose arithmetic costs less and rounds alike
+        linf_u, maximum = float(linf_u), max
+    rate = maximum(maximum(abs(p.lam) + 2.0 * linf_u, p.c * linf_u), RATE_FLOOR)
     return DT_SAFETY * (0.5 / rate)
 
 
@@ -296,8 +301,8 @@ def _per_column(y: np.ndarray, n: int) -> np.ndarray:
 
 
 def _lows(y: np.ndarray, n: int) -> np.ndarray:
-    """The minima of u and v per run of the batch y, as a (2, k) array."""
-    return np.minimum.reduce(_per_column(y, n), axis=0).reshape(2, -1)
+    """The minima of the columns of the batch y: its u columns', then its v columns'."""
+    return np.minimum.reduce(_per_column(y, n), axis=0)
 
 
 def _pair(keep: list, m: int) -> list:
@@ -305,12 +310,12 @@ def _pair(keep: list, m: int) -> list:
     return keep + [m + j for j in keep]
 
 
-def _flux_slope(grid: Grid1D, cols: _Columns | ModelParams, v_tumor):
+def _flux_slope(mu1: float, cols: _Columns | ModelParams, v_tumor):
     """beta of an auto-dt advance from the tumor value v_tumor, per column:
-    the slope mu/(1+v)^2 of the tumor flux, capped at mu1 so that the v
-    block stays positive definite. Written without a power, whose array
+    the slope mu/(1+v)^2 of the tumor flux, capped at the grid's mu1 so the
+    v block stays positive definite. Written without a power, whose array
     and scalar forms can differ in the last bit (see Trajectory)."""
-    slope, mu1 = cols.mu / (1.0 + v_tumor) / (1.0 + v_tumor), compute_mu1(grid)
+    slope = cols.mu / (1.0 + v_tumor) / (1.0 + v_tumor)
     return min(slope, mu1) if isinstance(slope, float) else np.minimum(slope, mu1)
 
 
@@ -352,9 +357,8 @@ def _solve_v_block(grid: Grid1D, factors, dt, beta, v: np.ndarray, b: np.ndarray
     lost = _sum_error(2.0 * r, 1.0 + dt) + _sum_error(1.0, dt)  # of banded_rows' 2*r + (1 + dt)
     b -= lost * v
     b[::n - 1] *= 0.5
-    columns = [(dt, beta, b)] if b.ndim == 1 else zip(dt.tolist(), beta.tolist(), b.T)
-    errors = {}
-    for j, (dt_j, beta_j, b_j) in enumerate(columns):
+
+    def solve(dt_j, beta_j, b_j):
         d, e = factors(dt_j, 1.0 + dt_j)
         # dpttrf's last pivot of the block with the Robin row -dt*beta,
         # rounded as banded_rows and dpttrf round it, and its own test
@@ -362,13 +366,16 @@ def _solve_v_block(grid: Grid1D, factors, dt, beta, v: np.ndarray, b: np.ndarray
         pivot = (2.0 * r + (1.0 + dt_j) + 2.0 * (-dt_j * beta_j) / h) * 0.5 - float(e[-1]) * -r
         if pivot <= 0.0:
             b_j[:] = np.nan
-            errors[j] = SpectralShiftError(
+            return SpectralShiftError(
                 f"the v block of dt={dt_j:g} is not positive definite (minor {n})")
-        else:
-            d = d.copy()
-            d[-1] = pivot
-            dpttrs(d, e, b_j, True)  # in place on b's column
-    return errors
+        d = d.copy()
+        d[-1] = pivot
+        dpttrs(d, e, b_j, True)  # in place on b's column
+
+    if b.ndim == 1:
+        error = solve(dt, beta, b)
+        return {0: error} if error else {}
+    return {j: e for j, e in enumerate(map(solve, dt.tolist(), beta.tolist(), b.T)) if e}
 
 
 class _Terms(NamedTuple):
@@ -393,8 +400,8 @@ class _Terms(NamedTuple):
                       *(a[keep] for a in self[2:]))
 
 
-def _state_terms(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray) -> _Terms:
-    """The _Terms of an auto-dt advance of the batch y."""
+def _state_terms(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, mu1) -> _Terms:
+    """The _Terms of an auto-dt advance of the batch y; mu1 is grid's compute_mu1."""
     u, v = _blocks(y, grid.n)
     rate = np.divide(cols.V.V(u), u, out=np.zeros(u.shape, order="F"), where=u > 0.0)
     dv = v[1:] - v[:-1]
@@ -403,7 +410,7 @@ def _state_terms(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray) -> _
     # a batch of one's tumor-row terms are Python floats, whose arithmetic
     # costs less than numpy scalars' and rounds alike
     v_L, rate_L = (v[-1], rate[-1]) if y.ndim == 2 else (float(v[-1]), float(rate[-1]))
-    flux, beta = boundary_flux_v(cols, v_L), _flux_slope(grid, cols, v_L)
+    flux, beta = boundary_flux_v(cols, v_L), _flux_slope(mu1, cols, v_L)
     return _Terms(growth, np.where(dv > 0.0, rate[:-1], rate[1:]) * dv, rate_L,
                   flux, beta, flux - beta * v_L)
 
@@ -426,13 +433,15 @@ def _solve_u_block(grid: Grid1D, terms: _Terms, dt, b: np.ndarray) -> None:
     d[-1] += dt / h * terms.rate_L * terms.flux
     lower, upper = -r - lower, upper - r
     b[::n - 1] *= 0.5
-    columns = [(lower, d, upper, b)] if b.ndim == 1 else zip(lower.T, d.T, upper.T, b.T)
-    for column in columns:
+    if b.ndim == 1:
+        dgtsv(lower, d, upper, b, True, True, True, True)  # in place on b
+        return
+    for column in zip(lower.T, d.T, upper.T, b.T):
         dgtsv(*column, True, True, True, True)  # in place on b's column
 
 
 def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list, dts: list,
-             factors, terms: _Terms | None = None) -> tuple[np.ndarray, np.ndarray, dict]:
+             factors, terms: _Terms | None = None) -> tuple[np.ndarray, dict]:
     """One IMEX Euler step of the batch y, column j from time t[j] by
     dts[j]. y is a Fortran-ordered (n, 2k) array, the k u columns before
     the k v columns, or the (2n,) vector of a batch of one, whose cols is
@@ -444,10 +453,9 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     terms, the _state_terms of y, and makes both linearly implicit:
     _solve_u_block and _solve_v_block solve the u and v blocks.
 
-    Returns the new batch, in y's layout, the minima of u and v per
-    column as a (2, k) array, and the SolverError of each column whose
-    step failed, by column: a v block that did not factor, non-finite
-    values, or a density below POSITIVITY_HARD_LIMIT.
+    Returns the new batch, in y's layout, and the SolverError of each
+    column whose step failed, by column: a v block that did not factor,
+    non-finite values, or a density below POSITIVITY_HARD_LIMIT.
     """
     n, h = grid.n, grid.h
     u, v = _blocks(y, n)
@@ -484,11 +492,10 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
         rhs_v[-1] += 2.0 * dt / h * terms.rest
         _solve_u_block(grid, terms, dt, rhs_u)
         errors = _solve_v_block(grid, factors, dt, terms.beta, v, rhs_v)
-    lows = _lows(rhs, n)
-    if not (np.minimum.reduce(lows, axis=None) >= POSITIVITY_HARD_LIMIT
+    if not (np.minimum.reduce(rhs, axis=None) >= POSITIVITY_HARD_LIMIT
             and np.maximum.reduce(rhs, axis=None) < np.inf):
         finite = np.isfinite(_per_column(rhs, n)).all(axis=0).reshape(2, -1).all(axis=0)
-        low = lows.min(axis=0)
+        low = _lows(rhs, n).reshape(2, -1).min(axis=0)
         for j in np.flatnonzero(~finite | (low < POSITIVITY_HARD_LIMIT)):
             if j in errors:  # its v block did not factor
                 continue
@@ -503,7 +510,7 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
                     t=t_new,
                     min_value=float(low[j]),
                 )
-    return rhs, lows, errors
+    return rhs, errors
 
 
 @dataclass
@@ -602,11 +609,18 @@ def _take(y: np.ndarray, keep: list, m: int) -> np.ndarray:
     return y if len(keep) == m else np.asfortranarray(y[:, _pair(keep, m)])
 
 
+def _listed(x) -> list:
+    """The per-column values x as a list: a batch of one's float, or an array's values."""
+    return [x] if isinstance(x, float) else x.tolist()
+
+
 def _extrapolate(y1: np.ndarray, yh: np.ndarray) -> np.ndarray:
     """Richardson's 2*yh - y1 of a full step y1 and two half steps yh,
     but yh at every entry where that value would be negative."""
-    y = 2.0 * yh - y1
-    return np.where(y < 0.0, yh, y)
+    y = 2.0 * yh
+    y -= y1
+    np.copyto(y, yh, where=y < 0.0)
+    return y
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -626,6 +640,8 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     unchanged. With keep_states False a trajectory keeps its diagnostics
     rows but no snapshot state except the final one, so that a large
     batch does not hold every snapshot alive.
+    One loop serves every batch size and both dt modes; a column subset
+    is gathered only when it is not the whole batch.
     """
     grid = u0.grid
     if v0.grid != grid:
@@ -650,17 +666,18 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     if keep_states:
         for traj in trajs:
             traj.states.append(SimState(0.0, u0, v0))
-    # Per run, in step with the runs of y: its index in params, time, dt range,
-    # running minima of u and v, and for auto dt its proposal (at first
-    # TOL: with u = 0 cfl_dt bounds nothing) and step kind counts. Every
-    # run has taken `steps` steps.
+    # Per run, in step with the runs of y: its index in params, time, dt
+    # range, and for auto dt its proposal (at first TOL: with u = 0 cfl_dt
+    # bounds nothing) and step kind counts; and the running minima of the
+    # columns of y (_lows). Every run has taken `steps` steps.
     live, t = list(range(k)), [0.0] * k
     dt_lo, dt_hi = [np.inf] * k, [0.0] * k
-    lows = np.array([[u0.values.min()], [v0.values.min()]]).repeat(k, axis=1)
+    lows = _lows(y, n)
     proposal, tally = [TOL] * k, [[0, 0, 0] for _ in range(k)]
     steps = 0
     t_end, auto = ctrl.t_end, ctrl.dt is None
     slack = END_SLACK * t_end
+    mu1 = compute_mu1(grid) if auto else None
     # the block factors of the run, by (dt, diag): the fixed-dt columns
     # share t, so a step has one dt; auto dt rounds dt onto its ladder
     factors = functools.lru_cache(V_FACTORS)(functools.partial(_factor, n, h))
@@ -669,12 +686,12 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
         traj = trajs[live[j]]
         traj.steps_taken, traj.dt_min, traj.dt_max = steps, dt_lo[j], dt_hi[j]
         traj.steps_extrapolated, traj.steps_cfl_bound, traj.steps_rejected = tally[j]
-        traj.min_u_overall, traj.min_v_overall = float(lows[0, j]), float(lows[1, j])
+        traj.min_u_overall, traj.min_v_overall = float(lows[j]), float(lows[len(live) + j])
 
     while live:
         m = len(live)
         if auto:
-            bound = cfl_dt(_blocks(y, n)[0], cols).reshape(-1).tolist()
+            bound = _listed(cfl_dt(_blocks(y, n)[0], cols))
             plain = [b < a for b, a in zip(bound, proposal)]
             dts = [_rung(min(b, a)) for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
@@ -687,26 +704,28 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                     dts[j] = t_end - t[j]
                 t_new[j] = t_end
         # auto dt: the full step and every first half step from y share its terms
-        terms = _state_terms(grid, cols, y) if auto else None
-        y_new, new_lows, errors = _advance(grid, cols, y, t, dts, factors, terms)
+        terms = _state_terms(grid, cols, y, mu1) if auto else None
+        y_new, errors = _advance(grid, cols, y, t, dts, factors, terms)
         acc = [j for j, p in enumerate(plain) if not p] if auto else []
         while acc:
             # two half steps, the second only from a midpoint cfl_dt admits;
             # a rejected column retries at dt/2, whose full step is the first
             ca = cols if len(acc) == m else cols.take(acc)
             half = [dts[j] / 2 for j in acc]
-            ym, lows_m, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
-                                          factors, terms.take(acc, m))
-            errors = {acc[i]: error for i, error in failed.items()} | errors
-            safe = cfl_dt(_blocks(ym, n)[0], ca).reshape(-1).tolist()
+            ym, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
+                                  factors, terms.take(acc, m))
+            for i, error in failed.items():  # the full step's error stands
+                errors.setdefault(acc[i], error)
+            safe = _listed(cfl_dt(_blocks(ym, n)[0], ca))
             ok = [i for i, d in enumerate(half) if d <= safe[i]]
             done, err, retry = [acc[i] for i in ok], {}, []
             if ok:
                 cb, hb = ca if len(ok) == len(acc) else ca.take(ok), [half[i] for i in ok]
                 y_mid = _take(ym, ok, len(acc))
-                yh, _, failed = _advance(grid, cb, y_mid, [t[j] + d for j, d in zip(done, hb)],
-                                         hb, factors, _state_terms(grid, cb, y_mid))
-                errors = {done[i]: error for i, error in failed.items()} | errors
+                yh, failed = _advance(grid, cb, y_mid, [t[j] + d for j, d in zip(done, hb)],
+                                      hb, factors, _state_terms(grid, cb, y_mid, mu1))
+                for i, error in failed.items():
+                    errors.setdefault(done[i], error)
                 y1 = _take(y_new, done, m)
                 scaled = np.abs(yh - y1) / (np.abs(yh) + ATOL)
                 if scaled.ndim == 1:  # a batch of one: its u and v at once
@@ -715,12 +734,10 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                     err = dict(zip(done, np.maximum.reduce(_per_column(scaled, n), axis=0)
                                    .reshape(2, -1).max(axis=0).tolist()))
                 x = _extrapolate(y1, yh)
-                x_lows = _lows(x, n)
                 if len(done) == m:
-                    y_new, new_lows = x, x_lows
+                    y_new = x
                 else:
                     _per_column(y_new, n)[:, _pair(done, m)] = _per_column(x, n)
-                    new_lows[:, done] = x_lows
             for i, j in enumerate(acc):
                 e = err.get(j, math.inf)  # inf: the midpoint check failed
                 if e <= 2.0 * TOL:
@@ -733,7 +750,6 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             if acc:
                 _per_column(y_new, n)[:, _pair(acc, m)] = (
                     _per_column(ym, n)[:, _pair(retry, len(half))])
-                new_lows[:, acc] = lows_m[:, retry]
         for j, error in errors.items():
             settle(j)
             error.trajectory = trajs[live[j]]
@@ -744,7 +760,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
         if auto:
             for counts, p in zip(tally, plain):
                 counts[p] += 1  # extrapolated or reaction-bound
-        np.minimum(lows, new_lows, out=lows)
+        np.minimum(lows, _lows(y, n), out=lows)
         ended = [j for j, tj in enumerate(t) if tj == t_end and j not in errors]
         recorded = [j for j in (ended if steps % ctrl.output_every else range(len(live)))
                     if j not in errors]
@@ -760,7 +776,7 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
                 break
             live, t, dt_lo, dt_hi, proposal, tally = (
                 [a[j] for j in keep] for a in (live, t, dt_lo, dt_hi, proposal, tally))
-            lows, y, cols = lows[:, keep], _take(y, keep, m), cols.take(keep)
+            lows, y, cols = lows[_pair(keep, m)], _take(y, keep, m), cols.take(keep)
     return results
 
 

@@ -217,17 +217,17 @@ class RegimeReport:
 
 def classify_regime(
     traj: Trajectory,
-    p: ModelParams,
-    grid: Grid1D,
     threshold: float = CONVERGENCE_THRESHOLD,
     fit_window: tuple[float, float] | None = None,
     audit_tau: float = 1.0,
 ) -> RegimeReport:
-    """Decide which semi-trivial state the run approached.
+    """Decide which semi-trivial state the run approached, for the
+    parameters and grid of the run (traj.params, traj.grid).
 
     The default fit window [0.5*t_end, 0.9*t_end] skips the transient
     and the algebraic prefactor of the early decay envelope.
     """
+    p, grid = traj.params, traj.grid
     t_end = float(traj.times[-1])
     if fit_window is None:
         fit_window = (0.5 * t_end, 0.9 * t_end)
@@ -365,7 +365,7 @@ def sweep(
         try:
             if isinstance(result, SolverError):
                 raise result
-            report = classify_regime(result, p, grid)
+            report = classify_regime(result)
         except SolverError as exc:
             row = {k: "" for k in SWEEP_COLUMNS}
             row.update({"lambda": p.lam, "mu": p.mu, "verdict": f"error: {exc}"})

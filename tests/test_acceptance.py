@@ -81,8 +81,8 @@ def regime_a():
     return {
         "coarse": (grid_c, p_c, traj_c),
         "fine": (grid_f, p_f, traj_f),
-        "report_coarse": classify_regime(traj_c, p_c, grid_c),
-        "report_fine": classify_regime(traj_f, p_f, grid_f),
+        "report_coarse": classify_regime(traj_c),
+        "report_fine": classify_regime(traj_f),
         "seconds": sec_c + sec_f,
     }
 
@@ -95,7 +95,7 @@ def regime_b():
     grid, p, traj, seconds = _regime_run(1.0, 0.5, 1.0, 513, 25.0, 0.005, 20)
     return {
         "grid": grid, "p": p, "traj": traj,
-        "report": classify_regime(traj, p, grid),
+        "report": classify_regime(traj),
         "seconds": seconds,
     }
 
@@ -105,7 +105,7 @@ def regime_c():
     grid, p, traj, seconds = _regime_run(0.0, 1.2, 1.0, 513, 100.0, None, 10)
     return {
         "grid": grid, "p": p, "traj": traj,
-        "report": classify_regime(traj, p, grid),
+        "report": classify_regime(traj),
         "theta": theta_mu(grid, 1.2),
         "seconds": seconds,
     }

@@ -8,7 +8,7 @@ import pytest
 
 from angiosim import dynamics
 from angiosim.dynamics import ModelParams, StepControl, run, run_batch
-from angiosim.errors import CannotFitError, PositivityError, SolverError
+from angiosim.errors import CannotFitError, PositivityError, SolverError, SpectralShiftError
 from angiosim.grid import const_field, make_field, make_grid
 from angiosim.harness import (
     SWEEP_COLUMNS,
@@ -74,7 +74,7 @@ def make_run(lam, mu, n=129, t_end=20.0, c=1.0, dt=0.01, output_every=10):
 
 def test_classify_growth_regime_converges():
     g, p, traj = make_run(lam=1.0, mu=0.5)
-    report = classify_regime(traj, p, g)
+    report = classify_regime(traj)
     assert report.verdict == VERDICT_TO_LAM0
     assert report.final_dist_u < 1e-3
     assert report.final_linf_v < 1e-3
@@ -93,7 +93,7 @@ def test_classify_short_horizon_is_honest():
     # lam = 0 decay is algebraic (quadratic absorption), so at t = 20 the
     # density is still ~1/22 and the verdict must stay undecided
     g, p, traj = make_run(lam=0.0, mu=0.5)
-    report = classify_regime(traj, p, g)
+    report = classify_regime(traj)
     assert report.verdict == VERDICT_UNDECIDED
     assert 0.02 < report.final_dist_u < 0.1
     assert report.final_linf_v < 1e-3
@@ -105,14 +105,14 @@ def test_classify_short_horizon_is_honest():
 
 def test_classify_long_horizon_extinction():
     g, p, traj = make_run(lam=0.0, mu=0.5, t_end=2500.0, dt=None, output_every=200)
-    report = classify_regime(traj, p, g)
+    report = classify_regime(traj)
     assert report.verdict == VERDICT_TO_LAM0
     assert report.final_dist_u < 1e-3
 
 
 def test_classify_long_horizon_attractant_state():
     g, p, traj = make_run(lam=0.0, mu=1.2, t_end=2500.0, dt=None, output_every=200)
-    report = classify_regime(traj, p, g)
+    report = classify_regime(traj)
     assert report.verdict == VERDICT_TO_THETA
     assert report.final_linf_u < 1e-3
     assert report.final_dist_v < 1e-3
@@ -121,7 +121,8 @@ def test_classify_long_horizon_attractant_state():
 
 def test_report_json_round_trip():
     g, p, traj = make_run(lam=1.0, mu=0.5, n=65, t_end=5.0)
-    report = classify_regime(traj, p, g)
+    report = classify_regime(traj)
+    assert report.params is traj.params and report.grid is traj.grid
     blob = json.dumps(report.to_json_dict(), sort_keys=True)
     decoded = json.loads(blob)
     assert decoded["params"]["lambda"] == 1.0
@@ -210,7 +211,7 @@ def _solo(u0, v0, p, ctrl, g):
         row = {k: "" for k in SWEEP_COLUMNS}
         row.update({"lambda": p.lam, "mu": p.mu, "verdict": f"error: {exc}"})
         return exc, row, None
-    report = classify_regime(traj, p, g)
+    report = classify_regime(traj)
     return traj, _sweep_row(report), report
 
 
@@ -314,6 +315,36 @@ def test_sweep_isolates_a_failing_cell(lams):
     assert isinstance(batched[-1], SolverError)
     assert not isinstance(batched[-1], PositivityError)
     assert isinstance(batched[1], PositivityError) == (len(lams) == 3)
+
+
+def test_auto_dt_batch_isolates_a_column_whose_v_block_fails(monkeypatch):
+    # With mu1 patched to inf the flux slope mu/(1+v_L)^2 goes uncapped.
+    # v stays below ATOL, so the slope of the mu = 3 column stays near 3,
+    # and its v block turns indefinite once auto dt passes about 0.13, a
+    # few steps in. That column leaves the batch with the
+    # SpectralShiftError and partial trajectory of its solo run; the
+    # columns before and after it run on exactly as alone.
+    monkeypatch.setattr(dynamics, "compute_mu1", lambda grid: np.inf)
+    g = make_grid(1.0, 33)
+    ctrl = StepControl(t_end=3.0, output_every=2)
+    u0 = make_field(g, 0.5 + 0.1 * np.cos(np.pi * g.nodes))
+    v0 = const_field(g, 1e-20)
+    base = ModelParams(lam=0.0, mu=0.3, c=1.0, V=saturating_power(2.0))
+    params = [replace(base, lam=lam, mu=mu) for lam, mu in ((0.0, 0.3), (0.0, 3.0), (0.5, 0.6))]
+    batched = run_batch(u0, v0, params, ctrl)
+    for p, result in zip(params, batched):
+        try:
+            solo = run(u0, v0, p, ctrl)
+        except SolverError as exc:
+            solo = exc
+        assert type(result) is type(solo)
+        if isinstance(solo, SolverError):
+            assert str(result) == str(solo)
+            _assert_same_trajectory(result.trajectory, solo.trajectory)
+        else:
+            _assert_same_trajectory(result, solo)
+    assert [isinstance(r, SpectralShiftError) for r in batched] == [False, True, False]
+    assert 1 < batched[1].trajectory.steps_taken < batched[0].steps_taken
 
 
 def test_run_batch_checks_its_params(grid65):
