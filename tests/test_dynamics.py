@@ -199,7 +199,7 @@ def test_cached_v_factor_with_its_pivot_is_dpttrfs(n, monkeypatch):
     grid = make_grid(1.0, n)
     h, mu1 = grid.h, compute_mu1(grid)
     V = saturating_power(2.0)
-    betas = [0.0, mu1] + [dynamics._flux_slope(math.inf, ModelParams(lam=0.0, mu=mu, c=1.0, V=V), v)
+    betas = [0.0, mu1] + [dynamics._flux_slope(np.inf, ModelParams(lam=0.0, mu=mu, c=1.0, V=V), v)
                           for mu in (0.5, 1.2, 50.0) for v in (1e-6, 0.5, 3.0)]
     factors = []
     monkeypatch.setattr(dynamics, "dpttrs", lambda d, e, b, overwrite: factors.append((d, e)))
