@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, parse_config
 from .dynamics import run, write_diagnostics_csv, write_trajectory_csv
-from .errors import BelowThresholdError, ConfigError, SolverError
+from .errors import ConfigError, SolverError
 from .grid import field_to_csv
 from .harness import SWEEP_COLUMNS, classify_regime, sweep
 from .sensitivity import (
@@ -102,7 +102,7 @@ def _cmd_steady(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
 
 
 def _run_trajectory(cfg: RunConfig):
-    u0, v0 = cfg.initial_data(cfg.grid())
+    u0, v0 = cfg.initial_data()
     return run(u0, v0, cfg.params(), cfg.control())
 
 
@@ -112,12 +112,8 @@ def _cmd_simulate(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     if "csv" in cfg.formats:
         with open(outdir / "trajectory.csv", "w", encoding="utf-8", newline="") as fh:
             write_trajectory_csv(traj, fh)
-        try:
-            theta = theta_mu(traj.grid, cfg.mu)
-        except BelowThresholdError:
-            theta = None
         with open(outdir / "diagnostics.csv", "w", encoding="utf-8", newline="") as fh:
-            write_diagnostics_csv(traj, fh, theta=theta)
+            write_diagnostics_csv(traj, fh)
         outputs += ["trajectory.csv", "diagnostics.csv"]
     return outputs
 
@@ -129,15 +125,14 @@ def _cmd_classify(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
     outputs = ["report.json"]
     if "csv" in cfg.formats:
         with open(outdir / "diagnostics.csv", "w", encoding="utf-8", newline="") as fh:
-            write_diagnostics_csv(traj, fh, theta=report.theta)
+            write_diagnostics_csv(traj, fh)
         outputs.append("diagnostics.csv")
     return outputs
 
 
 def _cmd_sweep(cfg: RunConfig, exp: dict, outdir: Path) -> list[str]:
-    grid = cfg.grid()
-    u0, v0 = cfg.initial_data(grid)
-    rows, reports = sweep(grid, cfg.params(), cfg.control(), u0, v0, **exp)
+    u0, v0 = cfg.initial_data()
+    rows, reports = sweep(cfg.params(), cfg.control(), u0, v0, **exp)
     outputs = []
     with open(outdir / "sweep_summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")

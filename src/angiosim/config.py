@@ -69,9 +69,11 @@ class RunConfig:
     def control(self) -> StepControl:
         return StepControl(t_end=self.t_end, dt=self.dt, output_every=self.output_every)
 
-    def initial_data(self, grid: Grid1D) -> tuple[Field, Field]:
-        """Constant positive profiles; the optional perturbation adds a
-        fixed cosine hump (1 - cos(2 pi x / L))/2 to u0. No randomness."""
+    def initial_data(self) -> tuple[Field, Field]:
+        """Constant positive profiles on self.grid(); the optional
+        perturbation adds a fixed cosine hump (1 - cos(2 pi x / L))/2 to
+        u0. No randomness."""
+        grid = self.grid()
         u = np.full(grid.n, self.u0)
         if self.perturb_amplitude > 0:
             u = u + self.perturb_amplitude * 0.5 * (

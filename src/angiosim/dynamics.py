@@ -94,6 +94,7 @@ from .errors import PositivityError, SolverError, SpectralShiftError
 from .grid import Field, Grid1D, l2_norm, make_field
 from .sensitivity import SensitivitySpec
 from .spectral import compute_mu1
+from .steady import theta_mu
 
 __all__ = [
     "ModelParams",
@@ -792,21 +793,22 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
             fh.write(f"{t},{x},{uu},{vv}\n")
 
 
-def write_diagnostics_csv(traj: Trajectory, fh, theta: Field | None = None) -> None:
+def write_diagnostics_csv(traj: Trajectory, fh) -> None:
     """Per-snapshot diagnostics table.
 
-    l2_v_minus_theta is the distance to the supplied steady profile;
-    below the flux threshold the relevant profile is 0 and theta may be
-    omitted. The trajectory must keep the state of every diagnostics
-    row: a run_batch(..., keep_states=False) one raises ValueError.
+    l2_v_minus_theta is the distance to the run's steady profile:
+    theta_mu(grid, mu) above the flux threshold mu1, 0 at or below it.
+    The trajectory must keep the state of every diagnostics row: a
+    run_batch(..., keep_states=False) one raises ValueError.
     """
     d = traj.diagnostics
     if len(traj.states) != len(d["t"]):
         raise ValueError(f"trajectory keeps {len(traj.states)} states for "
                          f"{len(d['t'])} diagnostics rows")
     fh.write("t,mass_u,mass_v,linf_u,linf_v,l2_v_minus_theta,boundary_flux_v\n")
-    theta_vals = theta.values if theta is not None else 0.0
-    h = traj.grid.h
+    grid, mu = traj.grid, traj.params.mu
+    theta_vals = theta_mu(grid, mu).values if mu > compute_mu1(grid) else 0.0
+    h = grid.h
     for i, state in enumerate(traj.states):
         row = [d[name][i] for name in ("t", "mass_u", "mass_v", "linf_u", "linf_v")]
         row += [l2_norm(h, state.v.values - theta_vals), d["boundary_flux_v"][i]]

@@ -27,8 +27,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Equispaced nodes on [0, L]. Grids compare and hash by (L, n),
-    from which h and nodes derive."""
+    """Equispaced nodes on [0, L], L > 0 finite and n >= 3 integral
+    (DomainConfigError otherwise), kept as a float and an int. Grids
+    compare and hash by (L, n), from which h and nodes derive."""
 
     L: float
     n: int
@@ -36,20 +37,20 @@ class Grid1D:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = self.L / (self.n - 1)
-        nodes = np.linspace(0.0, self.L, self.n)
+        if not np.isfinite(self.L) or self.L <= 0:
+            raise DomainConfigError(f"domain length L must be positive and finite, got {self.L}")
+        if not 3 <= self.n < np.inf or int(self.n) != self.n:  # nan and inf fail the first test
+            raise DomainConfigError(f"node count n must be an integer >= 3, got {self.n}")
+        L, n = float(self.L), int(self.n)
+        nodes = np.linspace(0.0, L, n)
         nodes.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "nodes", nodes)
+        for name, value in (("L", L), ("n", n), ("h", L / (n - 1)), ("nodes", nodes)):
+            object.__setattr__(self, name, value)
 
 
 def make_grid(L: float, n: int) -> Grid1D:
     """Build a uniform grid with n nodes on (0, L)."""
-    if not np.isfinite(L) or L <= 0:
-        raise DomainConfigError(f"domain length L must be positive and finite, got {L}")
-    if not 3 <= n < np.inf or int(n) != n:  # nan and inf fail the first test
-        raise DomainConfigError(f"node count n must be an integer >= 3, got {n}")
-    return Grid1D(float(L), int(n))
+    return Grid1D(L, n)
 
 
 @dataclass(frozen=True)

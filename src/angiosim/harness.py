@@ -18,7 +18,7 @@ import numpy as np
 from . import sensitivity as sens
 from .dynamics import ModelParams, StepControl, Trajectory, run_batch
 from .errors import CannotFitError, SolverError
-from .grid import Field, Grid1D, l2_norm
+from .grid import Field, l2_norm
 from .spectral import alpha_of_mu, compute_mu1
 from .steady import theta_mu
 
@@ -144,13 +144,10 @@ def mass_audit(traj: Trajectory, tau: float = 1.0) -> MassAudit:
 @dataclass
 class RegimeReport:
     """Classification of one run's limit plus all supporting audits. The
-    report reads its parameters, grid and step statistics from the
-    objects it holds: params, grid and trajectory."""
+    report reads the run's parameters, grid, end time and step
+    statistics from the trajectory it holds."""
 
-    params: ModelParams
-    grid: Grid1D
     trajectory: Trajectory
-    t_end: float
     verdict: str
     mu1: float
     alpha_mu: float
@@ -166,7 +163,6 @@ class RegimeReport:
     hypothesis_h1: sens.H1Report | None = None
     hypothesis_envelope: sens.EnvelopeReport | None = None
     fit_errors: list = field(default_factory=list)
-    theta: Field | None = None  # steady profile when mu > mu1; not in JSON
 
     def fit_for(self, quantity: str) -> DecayFit | None:
         for f in self.fits:
@@ -175,7 +171,7 @@ class RegimeReport:
         return None
 
     def to_json_dict(self) -> dict:
-        p, traj = self.params, self.trajectory
+        p, traj = self.trajectory.params, self.trajectory
         return {
             "params": {
                 "lambda": p.lam,
@@ -183,8 +179,8 @@ class RegimeReport:
                 "c": p.c,
                 "sensitivity": p.V.describe(),
             },
-            "grid": {"L": self.grid.L, "n": self.grid.n},
-            "t_end": self.t_end,
+            "grid": {"L": traj.grid.L, "n": traj.grid.n},
+            "t_end": float(traj.times[-1]),
             "verdict": self.verdict,
             "mu1": self.mu1,
             "alpha_mu": self.alpha_mu,
@@ -289,10 +285,7 @@ def classify_regime(
         fit_errors.append(f"hypothesis check failed: {exc}")
 
     return RegimeReport(
-        params=p,
-        grid=grid,
         trajectory=traj,
-        t_end=t_end,
         verdict=verdict,
         mu1=mu1,
         alpha_mu=a_mu,
@@ -308,7 +301,6 @@ def classify_regime(
         hypothesis_h1=h1,
         hypothesis_envelope=envelope,
         fit_errors=fit_errors,
-        theta=theta,
     )
 
 
@@ -323,8 +315,8 @@ def _sweep_row(report: RegimeReport) -> dict:
     v_fit = report.fit_for("linf_v")
     u_fit = report.fit_for("l2_u_minus_lam")
     return {
-        "lambda": report.params.lam,
-        "mu": report.params.mu,
+        "lambda": report.trajectory.params.lam,
+        "mu": report.trajectory.params.mu,
         "mu1": report.mu1,
         "alpha_mu": report.alpha_mu,
         "verdict": report.verdict,
@@ -339,7 +331,6 @@ def _sweep_row(report: RegimeReport) -> dict:
 
 
 def sweep(
-    grid: Grid1D,
     base_params: ModelParams,
     ctrl: StepControl,
     u0: Field,
@@ -347,7 +338,8 @@ def sweep(
     lambda_values,
     mu_values,
 ) -> tuple[list[dict], list[RegimeReport | None]]:
-    """Classify every (lambda, mu) cell of the cartesian product.
+    """Classify every (lambda, mu) cell of the cartesian product, each
+    run from u0 and v0 on their grid.
 
     All cells advance together as the columns of one dynamics.run_batch,
     which keeps each cell's diagnostics and final state, not its

@@ -34,6 +34,8 @@ __all__ = [
 
 # log-spaced sample grid used by the basic positivity / consistency checks
 _SAMPLE_GRID = np.logspace(-8.0, 2.0, 201)
+FD_STEP = 1e-5  # step of derivative_consistency's central difference
+H1_SLACK = 0.05  # check_H1's allowance for fit noise in the exponents
 
 
 @dataclass(frozen=True)
@@ -115,16 +117,17 @@ def check_hypothesis2(spec: SensitivitySpec) -> None:
         )
 
 
-def derivative_consistency(spec: SensitivitySpec, eps: float = 1e-5) -> float:
+def derivative_consistency(spec: SensitivitySpec) -> float:
     """Max deviation of a central difference from V' on the sample grid.
 
-    Points within 3*eps of a declared kink are skipped: the central
+    Points within 3*FD_STEP of a declared kink are skipped: the central
     difference straddles the jump there and measures nothing useful.
     """
-    s = _SAMPLE_GRID[_SAMPLE_GRID > 3.0 * eps]  # all families clip at s = 0
+    s = _SAMPLE_GRID[_SAMPLE_GRID > 3.0 * FD_STEP]  # all families clip at s = 0
     for k in spec.kinks:
-        s = s[np.abs(s - k) > 3.0 * eps]
-    approx = (np.asarray(spec.V(s + eps)) - np.asarray(spec.V(s - eps))) / (2.0 * eps)
+        s = s[np.abs(s - k) > 3.0 * FD_STEP]
+    approx = (np.asarray(spec.V(s + FD_STEP))
+              - np.asarray(spec.V(s - FD_STEP))) / (2.0 * FD_STEP)
     return float(np.abs(approx - np.asarray(spec.V_prime(s))).max())
 
 
@@ -140,11 +143,10 @@ class H1Report:
         return {"k0": self.k0, "j": self.j, "pass": self.passed}
 
 
-def check_H1(spec: SensitivitySpec, d: int, delta: float,
-             slack: float = 0.05) -> H1Report:
+def check_H1(spec: SensitivitySpec, d: int, delta: float) -> H1Report:
     """Estimate growth orders of V and |V'| on (0, delta] by log-log
     least squares and compare against the superlinearity thresholds
-    k0 > 1 + d/2 and j > d/2 (slack absorbs fit noise)."""
+    k0 > 1 + d/2 and j > d/2, less H1_SLACK for fit noise."""
     if delta <= 0 or delta > 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     s = np.logspace(np.log10(delta / 100.0), np.log10(delta), 50)
@@ -160,7 +162,7 @@ def check_H1(spec: SensitivitySpec, d: int, delta: float,
         j = float("inf")  # |V'| identically 0 satisfies any envelope
     else:
         j = float(np.polyfit(np.log(s[pos]), np.log(vp[pos]), 1)[0])
-    passed = (k0 > 1.0 + d / 2.0 - slack) and (j > d / 2.0 - slack)
+    passed = (k0 > 1.0 + d / 2.0 - H1_SLACK) and (j > d / 2.0 - H1_SLACK)
     return H1Report(k0=k0, j=j, passed=passed)
 
 

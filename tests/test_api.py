@@ -78,3 +78,28 @@ def test_every_public_name_has_a_package_caller():
     public = {name for module in MODULES
               for name in getattr(importlib.import_module(module), "__all__", ())}
     assert sorted(public - used) == sorted(uncalled)
+
+
+def test_every_public_parameter_is_read():
+    # a parameter of a public function or method that its body never
+    # reads is a value a caller can set to no effect, or set to disagree
+    # with what the body uses instead
+    unread = []
+    for module in MODULES:
+        mod = importlib.import_module(module)
+        public = set(getattr(mod, "__all__", ()))
+        tree = ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name not in public:
+                continue
+            functions = [node] if isinstance(node, ast.FunctionDef) else [
+                fn for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+            for fn in functions:
+                a = fn.args
+                params = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                              a.vararg, a.kwarg) if arg is not None}
+                read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread += [f"{module}.{fn.name}({name})" for name in sorted(params - read)]
+    assert unread == []

@@ -97,8 +97,7 @@ def test_perturbed_initial_data():
     cfg = parse_config(
         '{"initial": {"perturb_amplitude": 0.1}, "grid": {"n": 33}}'
     )
-    grid = cfg.grid()
-    u0, v0 = cfg.initial_data(grid)
+    u0, v0 = cfg.initial_data()
     assert u0.values.min() >= 0.5
     assert u0.values.max() == pytest.approx(0.6, abs=1e-12)
     assert np.all(v0.values == 0.5)
@@ -314,19 +313,12 @@ def test_cli_classify_reports_step_kinds(tmp_path, dt):
         assert kinds == [0, 0, 0] and report["steps"] == 800
 
 
-def test_cli_classify_solves_theta_once(tmp_path, monkeypatch):
-    import angiosim.cli
-    import angiosim.harness
+def test_cli_classify_solves_theta_once(tmp_path):
+    # the report and the diagnostics writer both look theta up; only the
+    # first lookup may solve, so theta's cache misses count the solves
     from angiosim.steady import theta_mu
 
-    calls = []
-
-    def counted(grid, mu):
-        calls.append(mu)
-        return theta_mu(grid, mu)
-
-    monkeypatch.setattr(angiosim.harness, "theta_mu", counted)
-    monkeypatch.setattr(angiosim.cli, "theta_mu", counted)
+    theta_mu.cache_clear()
     doc = {
         "grid": {"n": 33},
         "model": {"lambda": 0.0, "mu": 1.2},
@@ -335,7 +327,7 @@ def test_cli_classify_solves_theta_once(tmp_path, monkeypatch):
     }
     assert main(["classify", "--config", write_config(tmp_path, doc)]) == 0
     assert (tmp_path / "o" / "diagnostics.csv").exists()
-    assert calls == [1.2]
+    assert theta_mu.cache_info().misses == 1
 
 
 def test_cli_simulate_outputs(tmp_path):

@@ -815,6 +815,19 @@ def test_diagnostics_csv_needs_every_state(tmp_path):
     assert t == 0.0 and l2_v == pytest.approx(0.5, rel=1e-12)
 
 
+def test_diagnostics_csv_measures_against_the_runs_theta(tmp_path):
+    # above mu1 the writer finds theta_mu(grid, mu) of the run itself
+    grid = make_grid(1.0, 33)
+    p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
+    u0, v0 = const_field(grid, 0.5), const_field(grid, 0.5)
+    traj = run(u0, v0, p, StepControl(t_end=0.2, dt=0.05, output_every=2))
+    with open(tmp_path / "diag.csv", "w", newline="") as fh:
+        write_diagnostics_csv(traj, fh)
+    first = (tmp_path / "diag.csv").read_text().splitlines()[1].split(",")
+    want = l2_norm(grid.h, v0.values - theta_mu(grid, 1.2).values)
+    assert float(first[0]) == 0.0 and float(first[5]) == want
+
+
 def test_trajectory_csv_bytes_match_reference(tmp_path):
     # reference: the per-value float()/repr formulation of the writer
     g = make_grid(0.3, 4)

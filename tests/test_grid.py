@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from angiosim.errors import DomainConfigError
-from angiosim.grid import field_to_csv, l2_norm, make_field, make_grid, trapezoid
+from angiosim.grid import Grid1D, field_to_csv, l2_norm, make_field, make_grid, trapezoid
 
 
 def test_make_grid_nodes():
@@ -32,6 +32,8 @@ def test_grid_nodes_equispaced_and_immutable():
 def test_make_grid_rejects_bad_domains(L, n):
     with pytest.raises(DomainConfigError):
         make_grid(L, n)
+    with pytest.raises(DomainConfigError):  # the grid checks itself
+        Grid1D(L, n)
 
 
 def test_field_validation(grid65):

@@ -122,7 +122,7 @@ def test_classify_long_horizon_attractant_state():
 def test_report_json_round_trip():
     g, p, traj = make_run(lam=1.0, mu=0.5, n=65, t_end=5.0)
     report = classify_regime(traj)
-    assert report.params is traj.params and report.grid is traj.grid
+    assert report.trajectory is traj
     blob = json.dumps(report.to_json_dict(), sort_keys=True)
     decoded = json.loads(blob)
     assert decoded["params"]["lambda"] == 1.0
@@ -142,7 +142,7 @@ def test_sweep_rows_and_order():
     ctrl = StepControl(t_end=5.0, dt=None, output_every=20)
     u0 = const_field(g, 0.5)
     v0 = const_field(g, 0.5)
-    rows, reports = sweep(g, base, ctrl, u0, v0, [0.0, 1.0], [0.3, 1.2])
+    rows, reports = sweep(base, ctrl, u0, v0, [0.0, 1.0], [0.3, 1.2])
     assert len(rows) == 4
     assert [(r["lambda"], r["mu"]) for r in rows] == [
         (0.0, 0.3), (0.0, 1.2), (1.0, 0.3), (1.0, 1.2),
@@ -173,7 +173,7 @@ def test_sweep_solves_per_mu_work_once(monkeypatch):
     base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     ctrl = StepControl(t_end=1.0, dt=0.05, output_every=2)
     u0 = const_field(g, 0.5)
-    rows, _ = sweep(g, base, ctrl, u0, u0, [0.0, 0.5, 1.0], [0.3, 1.1])
+    rows, _ = sweep(base, ctrl, u0, u0, [0.0, 0.5, 1.0], [0.3, 1.1])
     assert len(rows) == 6
     assert len(beta_roots) == 2  # one alpha per distinct mu
     assert len(theta_profiles) == 1  # theta only above mu1
@@ -188,7 +188,7 @@ def test_sweep_records_cell_failures():
     from angiosim.grid import make_field
 
     v0 = make_field(g, 5.0 * g.nodes)
-    rows, reports = sweep(g, base, ctrl, u0, v0, [0.0], [3.0, 5.0])
+    rows, reports = sweep(base, ctrl, u0, v0, [0.0], [3.0, 5.0])
     assert all(rep is None for rep in reports)
     assert all(row["verdict"].startswith("error:") for row in rows)
     assert rows[0]["lambda"] == 0.0 and rows[0]["mu"] == 3.0
@@ -200,7 +200,7 @@ def test_sweep_rejects_empty_lists():
     ctrl = StepControl(t_end=1.0)
     f = const_field(g, 0.5)
     with pytest.raises(ValueError):
-        sweep(g, base, ctrl, f, f, [], [0.5])
+        sweep(base, ctrl, f, f, [], [0.5])
 
 
 def _solo(u0, v0, p, ctrl, g):
@@ -242,7 +242,7 @@ def test_sweep_matches_solo_runs_bitwise(dt, lams, mus):
     u0 = make_field(g, 0.5 + 0.1 * np.cos(np.pi * g.nodes))
     v0 = const_field(g, 0.5)
     params = [replace(base, lam=lam, mu=mu) for lam in lams for mu in mus]
-    rows, reports = sweep(g, base, ctrl, u0, v0, lams, mus)
+    rows, reports = sweep(base, ctrl, u0, v0, lams, mus)
     batched = run_batch(u0, v0, params, ctrl, keep_states=False)
     steps = set()
     for p, row, report, traj in zip(params, rows, reports, batched):
@@ -299,7 +299,7 @@ def test_sweep_isolates_a_failing_cell(lams):
     params = [replace(base, lam=lam) for lam in lams]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows, reports = sweep(g, base, ctrl, u0, v0, lams, [0.5])
+        rows, reports = sweep(base, ctrl, u0, v0, lams, [0.5])
         batched = run_batch(u0, v0, params, ctrl)
     for p, row, report, result in zip(params, rows, reports, batched):
         solo, solo_row, solo_report = _solo(u0, v0, p, ctrl, g)
