@@ -17,10 +17,11 @@ f(v) = mu*v/(1+v) enters v's tumor-end row as the source (2*dt/h)*f.
 A run caches the LDL^T factors of these blocks' state-free rows
 (_factor) per dt, in both dt modes (run_batch).
 
-A fixed-dt step keeps the chemotaxis and f explicit. f(v_L) is then a
-source in [0, 2*dt*mu/h], so the v block is state-free, and each block
-takes one LDL^T solve with its factor; a dt too large for the explicit
-terms raises PositivityError. An auto-dt step makes both linearly
+A fixed-dt step keeps the chemotaxis and f explicit, and evaluates
+f(v_L) once for the chemotaxis's tumor face and v's source. f(v_L) is
+then a source in [0, 2*dt*mu/h], so the v block is state-free, and each
+block takes one LDL^T solve with its factor; a dt too large for the
+explicit terms raises PositivityError. An auto-dt step makes both linearly
 implicit in the new state. Its u block carries the chemotaxis
 (_solve_u_block), a tridiagonal M-matrix for every dt, solved by
 dgtsv. Its v block carries f(v_L) + beta*(x_L - v_L),
@@ -59,14 +60,17 @@ contiguous n*k vector (_blocks), in which dpttrs solves in place and
 the fixed-dt stencil takes one 1-D pass per stage. So a step evaluates
 the explicit terms once per block. A batch of one keeps its (2n,)
 vector, u above v: the same memory, and Python floats for its dt,
-cfl_dt bound and tumor-row terms. Under fixed dt all columns share one
-dt and one factor per block, and one solve per block; under auto dt
-the blocks are solved column by column. Time control is per column:
-half steps run on the accuracy-bound columns only, and a column leaves
-the batch when it reaches t_end or its step fails. Two reduces over
-the batch find a failed advance; the running minima of u and v are
-taken once per step. One pass records the diagnostics of all columns
-due at a step. run is a batch of one.
+cfl_dt bound and tumor-row terms. A column leaves the batch when it
+reaches t_end or its step fails. Fixed-dt columns share t, dt, and one
+factor and one solve per block, and hold lam in u's (n, k) layout. So
+a fixed-dt step decides its time, t_end landing, dt range and ended
+and recorded columns once, and one pass of per-column minima finds a
+failed advance, with a max reduce for non-finite values, and updates
+the running minima. Auto dt solves the blocks column by
+column, runs half steps on the accuracy-bound columns only, finds a
+failed advance by a min and a max reduce over the batch, and takes the
+running minima once per step. One pass records the diagnostics of all
+columns due at a step. run is a batch of one.
 
 The chemotactic flux V(u) v_x is discretized with first-order upwinding
 of u in the drift direction, which trades formal second order for
@@ -167,7 +171,9 @@ class ModelParams:
 class _Columns:
     """The parameters of a batch: lam, mu and c as arrays of one value
     per column, and the V all columns share. chemotaxis_divergence,
-    boundary_flux_v and cfl_dt take it in place of a ModelParams."""
+    boundary_flux_v and cfl_dt take it in place of a ModelParams. A
+    fixed-dt batch holds lam as an (n, k) array (spread), so that lam*u
+    does not broadcast."""
 
     lam: np.ndarray
     mu: np.ndarray
@@ -182,8 +188,13 @@ class _Columns:
         return cls(*(np.array([getattr(p, name) for p in params])
                      for name in ("lam", "mu", "c")), V)
 
-    def take(self, keep: np.ndarray) -> _Columns:
-        return _Columns(self.lam[keep], self.mu[keep], self.c[keep], self.V)
+    def spread(self, n: int) -> _Columns:
+        """lam repeated down n rows, in the layout of a batch's u block."""
+        lam = np.asfortranarray(np.broadcast_to(self.lam, (n, self.lam.size)))
+        return _Columns(lam, self.mu, self.c, self.V)
+
+    def take(self, keep: list) -> _Columns:
+        return _Columns(self.lam[..., keep], self.mu[keep], self.c[keep], self.V)
 
 
 @dataclass(frozen=True)
@@ -217,13 +228,15 @@ def boundary_flux_v(p: ModelParams, v_boundary):
 
 
 def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
-                          p: ModelParams) -> np.ndarray:
+                          p: ModelParams, flux) -> np.ndarray:
     """Divergence of the upwind chemotactic flux J = V(u) v_x, of nodal
     values u and v of shape (n,) or, one column per run, (n, k).
 
     Faces between nodes use the upwind u (left value when v increases
     across the face). The vessel-end face flux is zero; the tumor-end
-    face uses v's boundary flux value so u's mass bookkeeping closes.
+    face uses v's boundary flux value, flux = boundary_flux_v(p, v_L)
+    of each column, so u's mass bookkeeping closes. A fixed-dt step
+    evaluates that flux once and passes it here and to v's tumor row.
     Cell widths are h inside and h/2 at the boundary nodes.
 
     The columns are taken end to end as one flat vector, a view of the
@@ -252,7 +265,7 @@ def chemotaxis_divergence(grid: Grid1D, u: np.ndarray, v: np.ndarray,
     np.subtract(j[1:], j[:-1], out=div[1:-1])
     div[1:-1] /= h
     div[vessel] = j[vessel] / (0.5 * h)
-    div[tumor] = (vu[tumor] * boundary_flux_v(p, v[tumor]) - j[tumor_face]) / (0.5 * h)
+    div[tumor] = (vu[tumor] * flux - j[tumor_face]) / (0.5 * h)
     return div.reshape(shape, order="F")
 
 
@@ -449,14 +462,16 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     then a ModelParams (see run_batch). factors(dt, diag) is the _factor
     of the block diag*I + dt*(-d2/dx2), cached per run (run_batch). A
     fixed-dt step, without terms, keeps the chemotaxis and the tumor flux
-    explicit, and all its columns share dts[0]: its u and v blocks are
-    solved with the factors of diag 1 and 1 + dt. An auto-dt step passes
-    terms, the _state_terms of y, and makes both linearly implicit:
-    _solve_u_block and _solve_v_block solve the u and v blocks.
+    explicit, evaluates f(v_L) once for both, and all its columns share
+    dts[0]: its u and v blocks are solved with the factors of diag 1 and
+    1 + dt. An auto-dt step passes terms, the _state_terms of y, and
+    makes both linearly implicit: _solve_u_block and _solve_v_block solve
+    the u and v blocks.
 
-    Returns the new batch, in y's layout, and the SolverError of each
-    column whose step failed, by column: a v block that did not factor,
-    non-finite values, or a density below POSITIVITY_HARD_LIMIT.
+    Returns the new batch, in y's layout; the SolverError of each column
+    whose step failed, by column: a v block that did not factor,
+    non-finite values, or a density below POSITIVITY_HARD_LIMIT; and the
+    _lows of the new batch that a fixed-dt step checks (auto dt: None).
     """
     n, h = grid.n, grid.h
     u, v = _blocks(y, n)
@@ -465,8 +480,10 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     # u + dt*(lam*u - u^2), less dt*div where the chemotaxis is explicit,
     # and v - dt*c*u*v, rounded as written, with few temporaries alive at once
     if terms is None:
+        flux = boundary_flux_v(cols, v[-1])  # f(v_L), for the chemotaxis and v's source
+        div = chemotaxis_divergence(grid, u, v, cols, flux)  # before g: its temporaries peak
         g = cols.lam * u
-        g -= chemotaxis_divergence(grid, u, v, cols)
+        g -= div
         g -= u * u
         g *= dt
     else:
@@ -483,20 +500,21 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     # state-free. Auto dt takes f(v_L) + beta*(x_L - v_L): its v block
     # carries beta, and the explicit rest f(v_L) - beta*v_L is >= 0, as
     # beta <= f'(v_L) <= f(v_L)/v_L.
-    errors = {}
+    errors, lows = {}, None
     if terms is None:
-        rhs_v[-1] += 2.0 * dt / h * boundary_flux_v(cols, v[-1])
+        rhs_v[-1] += 2.0 * dt / h * flux
         for block, diag in ((rhs_u, 1.0), (rhs_v, 1.0 + dt)):
             block[::n - 1] *= 0.5  # W*b
             dpttrs(*factors(dt, diag), block, True)  # in place on the block
+        lows = _lows(rhs, n)  # for the check below and run_batch's running minima
     else:
         rhs_v[-1] += 2.0 * dt / h * terms.rest
         _solve_u_block(grid, terms, dt, rhs_u)
         errors = _solve_v_block(grid, factors, dt, terms.beta, v, rhs_v)
-    if not (np.minimum.reduce(rhs, axis=None) >= POSITIVITY_HARD_LIMIT
-            and np.maximum.reduce(rhs, axis=None) < np.inf):
+    low = np.minimum.reduce(rhs if lows is None else lows, axis=None)
+    if not (low >= POSITIVITY_HARD_LIMIT and np.maximum.reduce(rhs, axis=None) < np.inf):
         finite = np.isfinite(_per_column(rhs, n)).all(axis=0).reshape(2, -1).all(axis=0)
-        low = _lows(rhs, n).reshape(2, -1).min(axis=0)
+        low = (_lows(rhs, n) if lows is None else lows).reshape(2, -1).min(axis=0)
         for j in np.flatnonzero(~finite | (low < POSITIVITY_HARD_LIMIT)):
             if j in errors:  # its v block did not factor
                 continue
@@ -511,7 +529,7 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
                     t=t_new,
                     min_value=float(low[j]),
                 )
-    return rhs, errors
+    return rhs, errors, lows
 
 
 @dataclass
@@ -642,7 +660,8 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     rows but no snapshot state except the final one, so that a large
     batch does not hold every snapshot alive.
     One loop serves every batch size and both dt modes; a column subset
-    is gathered only when it is not the whole batch.
+    is gathered only when it is not the whole batch. Fixed-dt columns
+    share t and dt, so their step's time control runs once per batch.
     """
     grid = u0.grid
     if v0.grid != grid:
@@ -660,9 +679,10 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     # are scalars, whose arithmetic costs a fraction of one-element arrays'.
     y = np.concatenate((u0.values, v0.values))
     cols = params[0]
+    t_end, auto = ctrl.t_end, ctrl.dt is None
     if k > 1:
         y = np.asfortranarray(np.repeat(_per_column(y, n), k, axis=1))
-        cols = _Columns.of(params)
+        cols = _Columns.of(params) if auto else _Columns.of(params).spread(n)
     _record(_per_column(y, n), cols, trajs, [0.0] * k, keep=False)
     if keep_states:
         for traj in trajs:
@@ -676,7 +696,6 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     lows = _lows(y, n)
     proposal, tally = [TOL] * k, [[0, 0, 0] for _ in range(k)]
     steps = 0
-    t_end, auto = ctrl.t_end, ctrl.dt is None
     slack = END_SLACK * t_end
     mu1 = compute_mu1(grid) if auto else None
     # the block factors of the run, by (dt, diag): the fixed-dt columns
@@ -696,25 +715,26 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             plain = [b < a for b, a in zip(bound, proposal)]
             dts = [_rung(min(b, a)) for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
-        else:
-            dts = [ctrl.dt] * m
-            t_new = [(steps + 1) * ctrl.dt] * m
+        else:  # the columns share t and dt, so the first decides for all
+            dts, t_new = [ctrl.dt], [(steps + 1) * ctrl.dt]
         for j, tj in enumerate(t_new):
             if tj >= t_end - slack:
                 if tj > t_end + slack:
                     dts[j] = t_end - t[j]
                 t_new[j] = t_end
+        if not auto:
+            dts, t_new = dts * m, t_new * m
         # auto dt: the full step and every first half step from y share its terms
         terms = _state_terms(grid, cols, y, mu1) if auto else None
-        y_new, errors = _advance(grid, cols, y, t, dts, factors, terms)
+        y_new, errors, y_lows = _advance(grid, cols, y, t, dts, factors, terms)
         acc = [j for j, p in enumerate(plain) if not p] if auto else []
         while acc:
             # two half steps, the second only from a midpoint cfl_dt admits;
             # a rejected column retries at dt/2, whose full step is the first
             ca = cols if len(acc) == m else cols.take(acc)
             half = [dts[j] / 2 for j in acc]
-            ym, failed = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
-                                  factors, terms.take(acc, m))
+            ym, failed, _ = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
+                                     factors, terms.take(acc, m))
             for i, error in failed.items():  # the full step's error stands
                 errors.setdefault(acc[i], error)
             safe = _listed(cfl_dt(_blocks(ym, n)[0], ca))
@@ -723,8 +743,8 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             if ok:
                 cb, hb = ca if len(ok) == len(acc) else ca.take(ok), [half[i] for i in ok]
                 y_mid = _take(ym, ok, len(acc))
-                yh, failed = _advance(grid, cb, y_mid, [t[j] + d for j, d in zip(done, hb)],
-                                      hb, factors, _state_terms(grid, cb, y_mid, mu1))
+                yh, failed, _ = _advance(grid, cb, y_mid, [t[j] + d for j, d in zip(done, hb)],
+                                         hb, factors, _state_terms(grid, cb, y_mid, mu1))
                 for i, error in failed.items():
                     errors.setdefault(done[i], error)
                 y1 = _take(y_new, done, m)
@@ -757,12 +777,16 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
             results[live[j]] = error
         y, t = y_new, t_new
         steps += 1
-        dt_lo, dt_hi = list(map(min, dt_lo, dts)), list(map(max, dt_hi, dts))
         if auto:
+            dt_lo, dt_hi = list(map(min, dt_lo, dts)), list(map(max, dt_hi, dts))
             for counts, p in zip(tally, plain):
                 counts[p] += 1  # extrapolated or reaction-bound
-        np.minimum(lows, _lows(y, n), out=lows)
-        ended = [j for j, tj in enumerate(t) if tj == t_end and j not in errors]
+            ended = [j for j, tj in enumerate(t) if tj == t_end and j not in errors]
+            y_lows = _lows(y, n)
+        else:
+            dt_lo, dt_hi = [min(dt_lo[0], dts[0])] * m, [max(dt_hi[0], dts[0])] * m
+            ended = [j for j in range(m) if j not in errors] if t[0] == t_end else []
+        np.minimum(lows, y_lows, out=lows)
         recorded = [j for j in (ended if steps % ctrl.output_every else range(len(live)))
                     if j not in errors]
         if recorded:

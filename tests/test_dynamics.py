@@ -40,10 +40,11 @@ def _factors(grid):
 
 
 def _auto_advance(grid, cols, y, t, dts):
-    # an auto-dt advance of the batch y, from its own _state_terms
+    # the new batch and errors of an auto-dt advance of the batch y, from
+    # its own _state_terms
     dynamics = angiosim.dynamics
     return dynamics._advance(grid, cols, y, t, dts, _factors(grid),
-                             dynamics._state_terms(grid, cols, y, dynamics.compute_mu1(grid)))
+                             dynamics._state_terms(grid, cols, y, dynamics.compute_mu1(grid)))[:2]
 
 
 def test_model_params_validation(zero_V):
@@ -357,7 +358,8 @@ def test_u_block_reproduces_the_explicit_upwind_flux_at_the_old_state(grid65):
         laplace = d * u
         laplace[1:] += e * u[:-1]
         laplace[:-1] += e * u[1:]
-        b = u + dt * (laplace / w + chemotaxis_divergence(grid65, u, v, p))
+        div = chemotaxis_divergence(grid65, u, v, p, boundary_flux_v(p, v[-1]))
+        b = u + dt * (laplace / w + div)
         terms = angiosim.dynamics._state_terms(grid65, p, np.concatenate((u, v)),
                                                compute_mu1(grid65))
         angiosim.dynamics._solve_u_block(grid65, terms, dt, b)
@@ -703,6 +705,26 @@ def test_auto_dt_evaluates_each_state_once(grid65, mu, extrapolated, reaction_bo
     assert len(calls) == 2 * extrapolated + reaction_bound
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_fixed_dt_evaluates_the_tumor_flux_once_per_step(grid65, monkeypatch, k):
+    # a fixed-dt step evaluates f(v_L) once, for the chemotaxis's tumor
+    # face and v's source alike; each _record call evaluates it once more
+    calls = []
+
+    def counted(p, v_boundary):
+        calls.append(1)
+        return boundary_flux_v(p, v_boundary)
+
+    monkeypatch.setattr(angiosim.dynamics, "boundary_flux_v", counted)
+    V = saturating_power(2.0)
+    params = [ModelParams(lam=lam, mu=1.2, c=1.0, V=V) for lam in (0.0, 0.5, 1.0)[:k]]
+    ctrl = StepControl(t_end=1.0, dt=0.03, output_every=4)
+    trajs = run_batch(const_field(grid65, 0.5), const_field(grid65, 0.5), params, ctrl)
+    steps, records = trajs[0].steps_taken, len(trajs[0].times)
+    assert (steps, records) == (34, 10)  # 33 steps of 0.03, one of 0.01
+    assert len(calls) == steps + records
+
+
 def test_snapshot_schedule_and_diagnostics(grid65):
     p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     ctrl = StepControl(t_end=0.5, dt=0.01, output_every=10)
@@ -862,7 +884,7 @@ def test_chemotaxis_divergence_upwinds_ties_to_the_right():
     p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=SensitivitySpec("spy", spy, spy))
     u = np.arange(1.0, 10.0)
     v = np.array([0.0, 1.0, 1.0, 0.5, 0.5, 2.0, 2.0, 2.0, 3.0])  # up tie down tie up tie tie up
-    chemotaxis_divergence(g, u, v, p)
+    chemotaxis_divergence(g, u, v, p, boundary_flux_v(p, v[-1]))
     assert seen[0].tolist() == [1.0, 3.0, 4.0, 5.0, 5.0, 7.0, 8.0, 8.0, 9.0]
 
 
@@ -878,9 +900,11 @@ def test_chemotaxis_divergence_of_a_batch_is_per_column(grid65):
         y[10:20, 3:] = 0.25  # tied faces
         if seams:  # a falling face from column 0 into 1, and a tied one from 1 into 2
             y[-1, 3], y[0, 4], y[-1, 4], y[0, 5] = seams
-        batch = chemotaxis_divergence(grid65, y[:, :3], y[:, 3:], cols)
+        batch = chemotaxis_divergence(grid65, y[:, :3], y[:, 3:], cols,
+                                      boundary_flux_v(cols, y[-1, 3:]))
         for j, p in enumerate(params):
-            alone = chemotaxis_divergence(grid65, y[:, j].copy(), y[:, 3 + j].copy(), p)
+            alone = chemotaxis_divergence(grid65, y[:, j].copy(), y[:, 3 + j].copy(), p,
+                                          boundary_flux_v(p, y[-1, 3 + j]))
             assert batch[:, j].tobytes() == alone.tobytes()
 
 
@@ -892,7 +916,7 @@ def test_chemotaxis_divergence_telescopes_to_the_tumor_flux(grid65):
     p = ModelParams(lam=0.0, mu=1.2, c=1.0, V=saturating_power(2.0))
     w = np.full(grid65.n, grid65.h)  # the trapezoid weights
     w[0] = w[-1] = 0.5 * grid65.h
-    terms = w * chemotaxis_divergence(grid65, u, v, p)
+    terms = w * chemotaxis_divergence(grid65, u, v, p, boundary_flux_v(p, v[-1]))
     tumor = float(p.V.V(u[-1])) * p.mu * v[-1] / (1.0 + v[-1])
     assert terms.sum() == pytest.approx(tumor, rel=0.0, abs=1e-14 * np.abs(terms).sum())
 

@@ -258,6 +258,25 @@ def test_sweep_matches_solo_runs_bitwise(dt, lams, mus):
         assert len(steps) > 1  # cells end on different step counts
 
 
+def test_fixed_dt_batch_lands_on_t_end_within_the_slack():
+    # 3*0.1 is 0.30000000000000004, within END_SLACK of t_end = 0.3: the
+    # third step keeps dt = 0.1 and lands on t_end exactly, in the batch
+    # as alone
+    assert 0.3 < 3 * 0.1 <= 0.3 * (1.0 + dynamics.END_SLACK)
+    g = make_grid(1.0, 33)
+    ctrl = StepControl(t_end=0.3, dt=0.1, output_every=2)
+    u0 = make_field(g, 0.5 + 0.1 * np.cos(np.pi * g.nodes))
+    v0 = const_field(g, 0.5)
+    base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
+    params = [replace(base, lam=lam, mu=mu) for lam, mu in ((0.0, 0.3), (0.5, 1.2), (1.0, 0.9))]
+    for p, traj in zip(params, run_batch(u0, v0, params, ctrl)):
+        solo = run(u0, v0, p, ctrl)
+        _assert_same_trajectory(traj, solo)
+        assert traj.steps_taken == 3
+        assert traj.dt_min == traj.dt_max == 0.1
+        assert traj.final_state().t == 0.3 and traj.times.tolist() == [0.0, 0.2, 0.3]
+
+
 def test_auto_dt_batch_with_mixed_steps_matches_solo_runs(monkeypatch):
     # At TOL = 1e-4 the columns take different step kinds: the first and
     # last reject a step, the middle one does not, and only the last takes
@@ -286,12 +305,13 @@ def test_auto_dt_batch_with_mixed_steps_matches_solo_runs(monkeypatch):
     assert [c[1] > 0 for c in counts] == [False, False, True]
 
 
-@pytest.mark.parametrize("lams", [[0.0, 1e300], [0.0, -60.0, 1e300]])
+@pytest.mark.parametrize("lams", [[0.0, 1e300], [0.0, -60.0, 1e300], [1e300, 0.0, 0.5]])
 def test_sweep_isolates_a_failing_cell(lams):
     # lam = 1e300 overflows on the second step, lam = -60 drives u negative
     # on the first; each such cell leaves the batch with the error and
     # partial trajectory of its solo run, and the others run on unchanged,
-    # without a numpy warning
+    # without a numpy warning. When the first cell fails, the survivors
+    # move up a column, and their time, lam and c move with them.
     g = make_grid(1.0, 33)
     base = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
     ctrl = StepControl(t_end=1.0, dt=0.05, output_every=1)
@@ -312,9 +332,9 @@ def test_sweep_isolates_a_failing_cell(lams):
         else:
             assert report.to_json_dict() == solo_report.to_json_dict()
             _assert_same_trajectory(result, solo)
-    assert isinstance(batched[-1], SolverError)
-    assert not isinstance(batched[-1], PositivityError)
-    assert isinstance(batched[1], PositivityError) == (len(lams) == 3)
+    failures = {1e300: SolverError, -60.0: PositivityError}
+    assert ([type(r) if isinstance(r, SolverError) else None for r in batched]
+            == [failures.get(lam) for lam in lams])
 
 
 def test_auto_dt_batch_isolates_a_column_whose_v_block_fails(monkeypatch):
