@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .dynamics import ModelParams, StepControl
 from .errors import ConfigError
 from .grid import Field, Grid1D, make_field, make_grid
+from .records import record
 from .sensitivity import (
     SensitivitySpec,
     linear_saturating,
@@ -31,7 +32,7 @@ from .sensitivity import (
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
 
-@dataclass
+@record
 class RunConfig:
     """Validated configuration with all defaults filled."""
 

@@ -88,14 +88,15 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
+from dataclasses import field
 
 import numpy as np
 
 from .elliptic import banded_rows, dgtsv, dpttrf, dpttrs
 from .errors import PositivityError, SolverError, SpectralShiftError
 from .grid import Field, Grid1D, l2_norm, make_field
+from .records import record
 from .sensitivity import SensitivitySpec
 from .spectral import compute_mu1
 from .steady import theta_mu
@@ -140,7 +141,7 @@ DIAG_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModelParams:
     """Full parameterization of the coupled system.
 
@@ -167,7 +168,7 @@ class ModelParams:
             raise ValueError(f"consumption rate c must be >= 0, got {self.c}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Columns:
     """The parameters of a batch: lam, mu and c as arrays of one value
     per column, and the V all columns share. chemotaxis_divergence,
@@ -197,14 +198,16 @@ class _Columns:
         return _Columns(self.lam[..., keep], self.mu[keep], self.c[keep], self.V)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimState:
+    """The state (u, v) of a run at time t."""
+
     t: float
     u: Field
     v: Field
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StepControl:
     """Time-stepping controls. dt=None means run's auto dt."""
 
@@ -217,8 +220,8 @@ class StepControl:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.dt is not None and not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
+        if type(self.output_every) is not int or self.output_every < 1:  # bool is no count
+            raise ValueError(f"output_every must be an integer >= 1, got {self.output_every!r}")
 
 
 def boundary_flux_v(p: ModelParams, v_boundary):
@@ -392,19 +395,15 @@ def _solve_v_block(grid: Grid1D, factors, dt, beta, v: np.ndarray, b: np.ndarray
     return {j: e for j, e in enumerate(map(solve, dt.tolist(), beta.tolist(), b.T)) if e}
 
 
-class _Terms(NamedTuple):
+class _Terms(namedtuple("_Terms", "growth drift rate_L flux beta rest")):
     """The dt-free terms of an auto-dt advance from a batch (u, v), per
     column: growth = lam*u - u*u, drift = (V(u)/u)_up*dv on each face
     with the upwind node's V(u)/u (0 where u <= 0), rate_L = V(u_L)/u_L,
-    flux = f(v_L), beta = _flux_slope and rest = flux - beta*v_L. A full
-    step and the first half step from one state share them (run_batch)."""
+    flux = f(v_L), beta = _flux_slope and rest = flux - beta*v_L, all
+    arrays. A full step and the first half step from one state share
+    them (run_batch)."""
 
-    growth: np.ndarray
-    drift: np.ndarray
-    rate_L: np.ndarray
-    flux: np.ndarray
-    beta: np.ndarray
-    rest: np.ndarray
+    __slots__ = ()
 
     def take(self, keep: list, m: int) -> _Terms:
         """The terms of the columns keep of an m-column batch."""
@@ -532,7 +531,7 @@ def _advance(grid: Grid1D, cols: _Columns | ModelParams, y: np.ndarray, t: list,
     return rhs, errors, lows
 
 
-@dataclass
+@record
 class Trajectory:
     """Snapshots plus per-snapshot diagnostics (the DIAG_COLUMNS series,
     each an array of doubles) of one simulation. A run_batch(...,

@@ -7,11 +7,12 @@ construction and safe to share between concurrent runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .errors import DomainConfigError
+from .records import record
 
 __all__ = [
     "Grid1D",
@@ -25,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Grid1D:
     """Equispaced nodes on [0, L], L > 0 finite and n >= 3 integral
     (DomainConfigError otherwise), kept as a float and an int. Grids
@@ -53,9 +54,10 @@ def make_grid(L: float, n: int) -> Grid1D:
     return Grid1D(L, n)
 
 
-@dataclass(frozen=True)
+@record(frozen=True, eq=False)
 class Field:
-    """Nodal scalar function on a Grid1D."""
+    """Nodal scalar function on a Grid1D. Fields compare and hash by
+    identity: their values are arrays."""
 
     grid: Grid1D
     values: np.ndarray = field(repr=False)

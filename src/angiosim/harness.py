@@ -11,7 +11,7 @@ late-time lower bounds of both densities.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, field, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from . import sensitivity as sens
 from .dynamics import ModelParams, StepControl, Trajectory, run_batch
 from .errors import CannotFitError, SolverError
 from .grid import Field, l2_norm
+from .records import record
 from .spectral import alpha_of_mu, compute_mu1
 from .steady import theta_mu
 
@@ -43,7 +44,7 @@ VERDICT_TO_THETA = "converged-to-(0,theta_mu)"
 VERDICT_UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DecayFit:
     """Least-squares exponential rate of a positive time series."""
 
@@ -93,7 +94,7 @@ def fit_decay(times, values, window: tuple[float, float],
     return DecayFit(float(-slope), (float(t0), float(t1)), r2, quantity, int(usable.sum()))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MassAudit:
     """Discrete mass-balance bookkeeping of u over [tau, t_end]:
     boundary inflow term + quadratic absorption vs. mass change."""
@@ -141,7 +142,7 @@ def mass_audit(traj: Trajectory, tau: float = 1.0) -> MassAudit:
     )
 
 
-@dataclass
+@record
 class RegimeReport:
     """Classification of one run's limit plus all supporting audits. The
     report reads the run's parameters, grid, end time and step

@@ -11,12 +11,13 @@ for which no formula gives the growth orders or checks V' against V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import SensitivityHypothesisError
+from .records import record
 
 __all__ = [
     "SensitivitySpec",
@@ -38,7 +39,7 @@ FD_STEP = 1e-5  # step of derivative_consistency's central difference
 H1_SLACK = 0.05  # check_H1's allowance for fit noise in the exponents
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SensitivitySpec:
     """A sensitivity function V with its analytic derivative.
 
@@ -131,7 +132,7 @@ def derivative_consistency(spec: SensitivitySpec) -> float:
     return float(np.abs(approx - np.asarray(spec.V_prime(s))).max())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class H1Report:
     """Fitted near-zero growth exponents of V and |V'|."""
 
@@ -166,7 +167,7 @@ def check_H1(spec: SensitivitySpec, d: int, delta: float) -> H1Report:
     return H1Report(k0=k0, j=j, passed=passed)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnvelopeReport:
     """Two-sided power envelope constants c_m s^alpha <= V <= C_M s^alpha."""
 

@@ -30,17 +30,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import banded_rows
 from .grid import Field, Grid1D, make_field
+from .records import record
 
 __all__ = ["EigenResult", "principal_eigen", "alpha_of_mu", "compute_mu1", "cosh_profile"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EigenResult:
     """Principal eigenvalue with its positive, inf-normalized eigenfunction
     and the inf-norm residual of the discrete eigen-equation."""

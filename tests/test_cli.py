@@ -495,6 +495,24 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_generates_no_dataclass_method():
+    # the record classes get closures from angiosim.records; a plain
+    # @dataclass would compile its methods at every start-up again
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import dataclasses\n"
+        "calls = []\n"
+        "create = dataclasses._create_fn\n"
+        "dataclasses._create_fn = lambda *a, **k: calls.append(a[0]) or create(*a, **k)\n"
+        "import angiosim.cli\n"
+        "assert calls == [], calls\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
     # no install: the package is found through PYTHONPATH alone
     src = Path(__file__).resolve().parents[1] / "src"

@@ -72,6 +72,13 @@ def test_step_control_validation():
         StepControl(t_end=1.0, output_every=0)
 
 
+@pytest.mark.parametrize("every", [2.5, True, 2.0, "2"])
+def test_step_control_takes_only_an_integer_output_every(every):
+    # 2.5 used to record every 5th step, and True every step
+    with pytest.raises(ValueError, match="output_every"):
+        StepControl(t_end=1.0, dt=0.1, output_every=every)
+
+
 def test_decoupled_logistic_decay(grid65, zero_V):
     # V = 0, lam = 0, mu = 0: u follows u' = -u^2 at every node
     p = ModelParams(lam=0.0, mu=0.0, c=1.0, V=zero_V)

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from angiosim.dynamics import SimState
 from angiosim.errors import DomainConfigError
-from angiosim.grid import Grid1D, field_to_csv, l2_norm, make_field, make_grid, trapezoid
+from angiosim.grid import (
+    Grid1D, const_field, field_to_csv, l2_norm, make_field, make_grid, trapezoid,
+)
 
 
 def test_make_grid_nodes():
@@ -43,6 +46,16 @@ def test_field_validation(grid65):
     bad[3] = np.nan
     with pytest.raises(ValueError):
         make_field(grid65, bad)
+
+
+def test_fields_compare_and_hash_by_identity(grid65):
+    # comparing their arrays would raise: a field equals only itself
+    a, b = const_field(grid65, 1.0), const_field(grid65, 1.0)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert hash(a) == object.__hash__(a)
+    # records holding fields compare without raising too
+    assert SimState(0.0, a, b) == SimState(0.0, a, b)
+    assert SimState(0.0, a, b) != SimState(0.0, b, a)
 
 
 def test_integrate_constant_and_affine():
