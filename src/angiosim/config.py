@@ -202,6 +202,8 @@ _SCHEMA = {
         "v0": ("v0", _NONNEGATIVE),
         "perturb_amplitude": ("perturb_amplitude", _NONNEGATIVE),
     },
+    # formats gates only the CSVs of simulate and classify: every JSON
+    # output is always written, so "json" selects nothing
     "io": {
         "outdir": ("outdir", _check(lambda v: isinstance(v, str) and v != "",
                                     "a nonempty string")),

@@ -95,7 +95,7 @@ import numpy as np
 
 from .elliptic import banded_rows, dgtsv, dpttrf, dpttrs
 from .errors import PositivityError, SolverError, SpectralShiftError
-from .grid import Field, Grid1D, l2_norm, make_field
+from .grid import Field, Grid1D, l2_norm, make_field, trapezoid
 from .records import record
 from .sensitivity import SensitivitySpec
 from .spectral import compute_mu1
@@ -168,13 +168,13 @@ class ModelParams:
             raise ValueError(f"consumption rate c must be >= 0, got {self.c}")
 
 
-@record(frozen=True)
+@record(frozen=True, eq=False)
 class _Columns:
     """The parameters of a batch: lam, mu and c as arrays of one value
     per column, and the V all columns share. chemotaxis_divergence,
     boundary_flux_v and cfl_dt take it in place of a ModelParams. A
     fixed-dt batch holds lam as an (n, k) array (spread), so that lam*u
-    does not broadcast."""
+    does not broadcast. Batches compare and hash by identity."""
 
     lam: np.ndarray
     mu: np.ndarray
@@ -538,9 +538,9 @@ class Trajectory:
     keep_states=False) trajectory keeps every diagnostics row, but in
     states only the final state of a run that reached t_end.
 
-    One _record pass appends the rows of all columns due at a step, each
-    bitwise as grid.trapezoid and l2_norm give it. Only the tumor V(u_L)
-    is a scalar call per column: numpy's array power can differ in its last bit.
+    One _record pass appends the rows of all columns due at a step, its
+    integrals grid.trapezoid and l2_norm of the whole block. Only the tumor
+    V(u_L) is a scalar call per column: numpy's array power can differ in its last bit.
     """
 
     grid: Grid1D
@@ -575,21 +575,15 @@ def _record(y: np.ndarray, cols: _Columns | ModelParams, trajs, times, keep: boo
     """Append to each of trajs the diagnostics row of its run in the
     Fortran-ordered (n, 2m) state y, m u columns before m v columns
     (parameters cols), at its time in times, and the state itself if keep
-    or it is at t_end. Axis-0 sums add each column as grid.trapezoid adds
-    it alone (see Trajectory)."""
+    or it is at t_end. The blocks are Fortran-ordered, so each column's
+    integrals are bitwise those of the column alone (grid.trapezoid)."""
     grid = trajs[0].grid
     h, t_end = grid.h, trajs[0].ctrl.t_end
     u, v = _blocks(y, grid.n)
-
-    def mass(w):
-        return h * (w.sum(axis=0) - 0.5 * (w[0] + w[-1]))
-
-    def l2(w):
-        return np.sqrt(np.maximum(mass(w * w), 0.0))
-
     flux = boundary_flux_v(cols, v[-1])
-    rows = np.array((times, mass(u), mass(v), np.abs(u).max(axis=0), np.abs(v).max(axis=0),
-                     l2(u), l2(u - cols.lam), u.min(axis=0), v.min(axis=0), flux))
+    rows = np.array((times, trapezoid(h, u), trapezoid(h, v), np.abs(u).max(axis=0),
+                     np.abs(v).max(axis=0), l2_norm(h, u), l2_norm(h, u - cols.lam),
+                     u.min(axis=0), v.min(axis=0), flux))
     for j, (traj, row, u_tumor) in enumerate(zip(trajs, rows.T.tolist(), u[-1].tolist())):
         # integrand of the mass-balance boundary term: mu * V(u) v/(1+v)
         row.append(float(np.asarray(cols.V.V(u_tumor))) * row[-1])

@@ -84,10 +84,11 @@ def banded_rows(n: int, h: float, r: float, diag: float | np.ndarray,
     """(d, e) pair of W*(diag + r*h^2*(-d2/dx2)).
 
     Mirror rows close both ends; the Robin coefficient adds 2*robin/h to
-    the tumor-end row. This is the one place the operator's rows are
-    written: spectral's residual uses r = 1/h^2, the implicit diffusion
-    of a time step r = dt/h^2 with diag = 1 or 1 + dt, and the v block of
-    an auto-dt step the linearized tumor flux as robin = -dt*beta.
+    the tumor-end row. spectral's residual uses r = 1/h^2, and the
+    factors of a time step's state-free blocks r = dt/h^2 with diag = 1
+    or 1 + dt. An auto-dt step writes its state-dependent rows in
+    dynamics: _solve_v_block sets the v block's tumor pivot from
+    robin = -dt*beta, and _solve_u_block writes the nonsymmetric u block.
     """
     d = np.full(n, 2.0 * r + diag)
     d[-1] += 2.0 * robin / h

@@ -231,28 +231,19 @@ def classify_regime(
     mu1 = compute_mu1(grid)
     a_mu = alpha_of_mu(grid, p.mu)
 
-    final = traj.final_state()
-    u_vals = final.u.values
-    v_vals = final.v.values
-    linf_u = float(np.abs(u_vals).max())
-    linf_v = float(np.abs(v_vals).max())
-    dist_u_lam = float(np.abs(u_vals - p.lam).max())
-
-    theta = None
+    final, d = traj.final_state(), traj.diagnostics
+    linf_u, linf_v = d["linf_u"][-1], d["linf_v"][-1]  # the final state's row
+    dist_u_lam = float(np.abs(final.u.values - p.lam).max())
     dist_v = linf_v
     if p.mu > mu1:
-        theta = theta_mu(grid, p.mu)
-        dist_v_theta = l2_norm(grid.h, v_vals - theta.values)
+        dist_v = float(l2_norm(grid.h, final.v.values - theta_mu(grid, p.mu).values))
 
     if dist_u_lam < threshold and linf_v < threshold:
-        verdict = VERDICT_TO_LAM0
-    elif theta is not None and linf_u < threshold and dist_v_theta < threshold:
+        verdict, dist_v = VERDICT_TO_LAM0, linf_v
+    elif p.mu > mu1 and linf_u < threshold and dist_v < threshold:
         verdict = VERDICT_TO_THETA
-        dist_v = dist_v_theta
     else:
         verdict = VERDICT_UNDECIDED
-        if theta is not None:
-            dist_v = dist_v_theta
 
     fits: list[DecayFit] = []
     fit_errors: list[str] = []

@@ -915,6 +915,15 @@ def test_chemotaxis_divergence_of_a_batch_is_per_column(grid65):
             assert batch[:, j].tobytes() == alone.tobytes()
 
 
+def test_batches_compare_and_hash_by_identity():
+    # comparing their lam, mu and c arrays would raise: a batch equals only itself
+    V = saturating_power(2.0)
+    params = [ModelParams(lam=lam, mu=0.5, c=1.0, V=V) for lam in (0.0, 1.0)]
+    a, b = angiosim.dynamics._Columns.of(params), angiosim.dynamics._Columns.of(params)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert hash(a) == object.__hash__(a)
+
+
 def test_chemotaxis_divergence_telescopes_to_the_tumor_flux(grid65):
     # the trapezoid-weighted sum of the divergence leaves only the tumor
     # face term V(u_L)*mu*v_L/(1+v_L): the discrete mass balance of u
