@@ -538,9 +538,9 @@ class Trajectory:
     keep_states=False) trajectory keeps every diagnostics row, but in
     states only the final state of a run that reached t_end.
 
-    One _record pass appends the rows of all columns due at a step, its
-    integrals grid.trapezoid and l2_norm of the whole block. Only the tumor
-    V(u_L) is a scalar call per column: numpy's array power can differ in its last bit.
+    One _record pass appends the rows of all columns due at a step:
+    grid.trapezoid and l2_norm integrate the whole block at once. Only the
+    tumor V(u_L) is a scalar call per column: numpy's array power can differ in its last bit.
     """
 
     grid: Grid1D
