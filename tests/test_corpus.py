@@ -29,7 +29,7 @@ from angiosim.config import parse_config
 from angiosim.dynamics import run
 
 SEED = 18
-DRAWS = 40
+DRAWS = 30
 N_T_END_CAP = 257 * 5
 
 
