@@ -40,17 +40,18 @@ Auto dt departs from plain IMEX Euler where accuracy bounds the step
 bound b is below the error controller's proposal a (at first TOL) is
 one plain step of dt = b and keeps a, as Euler's local error only
 shrinks with dt. Any other step takes dt = a by step doubling: y1 from
-one step of dt, yh from two of dt/2, the second only if cfl_dt at the
-midpoint admits dt/2, which keeps auto dt nonnegative. If
+one step of dt, yh from two of dt/2. cfl_dt at the step's start bounds
+the full and the first half step; the second half step, from the
+midpoint, is judged by its result. If yh >= 0 and
 err = max|yh - y1| / (|yh| + ATOL) <= 2*TOL, it takes Richardson's
 second-order 2*yh - y1 (linearly implicit Euler keeps an asymptotic
 expansion in dt: Hairer & Wanner, Solving ODEs II, IV.9), or yh wherever
-that is negative, and proposes dt*min(2, 0.9*sqrt(TOL/err)) next. Else
-it is retried at dt/2, whose full step is the first half step. dt is
-rounded down to a power of 2**(1/DT_RUNGS), so that the steps of a run
-reuse a few v factors. The full step and the first half step start
-from one state, so they share its dt-free terms (_state_terms),
-evaluated once per step.
+that is negative, so every accepted state is >= 0, and proposes
+dt*min(2, 0.9*sqrt(TOL/err)) next. Else it is retried at dt/2, whose
+full step is the first half step. dt is rounded down to a power of
+2**(1/DT_RUNGS), so that the steps of a run reuse a few v factors. The
+full step and the first half step start from one state, so they share
+its dt-free terms (_state_terms), evaluated once per step.
 
 One kernel, run_batch, steps k runs at once. They share the grid, the
 initial data, V and the step controls, but each has its own lam, mu and
@@ -115,7 +116,7 @@ __all__ = [
     "write_diagnostics_csv",
 ]
 
-POSITIVITY_HARD_LIMIT = -1e-9  # beyond this a step is rejected outright
+POSITIVITY_HARD_LIMIT = -1e-9  # below this an advance fails (run_batch retries a second half step)
 # floor of the reaction rate in cfl_dt, so that a state without
 # reactions bounds dt finitely
 RATE_FLOOR = 1e-30
@@ -160,8 +161,9 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("lam", "mu", "c"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"model parameter {name} must be finite")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not np.isfinite(value):  # bool is no number
+                raise ValueError(f"model parameter {name} must be a finite number, got {value!r}")
         if self.mu < 0:
             raise ValueError(f"flux strength mu must be >= 0, got {self.mu}")
         if self.c < 0:
@@ -216,10 +218,10 @@ class StepControl:
     output_every: int = 10
 
     def __post_init__(self):
-        if not 0 < self.t_end < np.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if self.dt is not None and not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if isinstance(self.t_end, bool) or not 0 < self.t_end < np.inf:  # bool is no time
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
+        if self.dt is not None and (isinstance(self.dt, bool) or not 0 < self.dt < np.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if type(self.output_every) is not int or self.output_every < 1:  # bool is no count
             raise ValueError(f"output_every must be an integer >= 1, got {self.output_every!r}")
 
@@ -282,7 +284,8 @@ def cfl_dt(u: np.ndarray, p: ModelParams):
     step, the chemotaxis are implicit and bound nothing. At dt =
     DT_SAFETY times that bound, the reactions take less than DT_SAFETY/2
     of each u_i and v_i, so the right-hand sides stay nonnegative, and
-    so do the M-matrix solves after them.
+    so do the M-matrix solves after them. run_batch bounds each step by
+    it at its start, but not a step doubling's second half step.
     """
     linf_u, maximum = np.maximum.reduce(np.abs(u), axis=0), np.maximum
     if u.ndim == 1:  # a Python float, whose arithmetic costs less and rounds alike
@@ -362,7 +365,8 @@ def _solve_v_block(grid: Grid1D, factors, dt, beta, v: np.ndarray, b: np.ndarray
     relative to it. A - A_exact is that rounding error, exact by
     _sum_error (the Robin term's own rounding, in one row, shifts no
     fixed point measurably), so x - v = A^-1 (b - A_exact v). It is below
-    eps*(2*dt/h^2 + 1 + dt) in size, and b >= 0.8*v under cfl_dt, so the
+    eps*(2*dt/h^2 + 1 + dt) in size, and b >= 0.8*v under cfl_dt, which
+    bounds a full and a first half step but not a second one, so their
     right-hand side stays nonnegative for dt < h^2/(4*eps).
 
     Returns the SpectralShiftError of each column whose block did not
@@ -621,11 +625,6 @@ def _take(y: np.ndarray, keep: list, m: int) -> np.ndarray:
     return y if len(keep) == m else np.asfortranarray(y[:, _pair(keep, m)])
 
 
-def _listed(x) -> list:
-    """The per-column values x as a list: a batch of one's float, or an array's values."""
-    return [x] if isinstance(x, float) else x.tolist()
-
-
 def _extrapolate(y1: np.ndarray, yh: np.ndarray) -> np.ndarray:
     """Richardson's 2*yh - y1 of a full step y1 and two half steps yh,
     but yh at every entry where that value would be negative."""
@@ -704,7 +703,8 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
     while live:
         m = len(live)
         if auto:
-            bound = _listed(cfl_dt(_blocks(y, n)[0], cols))
+            bound = cfl_dt(_blocks(y, n)[0], cols)  # a batch of one's is a float
+            bound = [bound] if isinstance(bound, float) else bound.tolist()
             plain = [b < a for b, a in zip(bound, proposal)]
             dts = [_rung(min(b, a)) for b, a in zip(bound, proposal)]
             t_new = [ti + dt for ti, dt in zip(t, dts)]
@@ -722,39 +722,35 @@ def run_batch(u0: Field, v0: Field, params, ctrl: StepControl,
         y_new, errors, y_lows = _advance(grid, cols, y, t, dts, factors, terms)
         acc = [j for j, p in enumerate(plain) if not p] if auto else []
         while acc:
-            # two half steps, the second only from a midpoint cfl_dt admits;
-            # a rejected column retries at dt/2, whose full step is the first
+            # two half steps; a column whose error is too large, or whose
+            # second half step has a negative entry, retries at dt/2, whose
+            # full step is the first half step
             ca = cols if len(acc) == m else cols.take(acc)
-            half = [dts[j] / 2 for j in acc]
+            half, retry = [dts[j] / 2 for j in acc], []
             ym, failed, _ = _advance(grid, ca, _take(y, acc, m), [t[j] for j in acc], half,
                                      factors, terms.take(acc, m))
             for i, error in failed.items():  # the full step's error stands
                 errors.setdefault(acc[i], error)
-            safe = _listed(cfl_dt(_blocks(ym, n)[0], ca))
-            ok = [i for i, d in enumerate(half) if d <= safe[i]]
-            done, err, retry = [acc[i] for i in ok], {}, []
-            if ok:
-                cb, hb = ca if len(ok) == len(acc) else ca.take(ok), [half[i] for i in ok]
-                y_mid = _take(ym, ok, len(acc))
-                yh, failed, _ = _advance(grid, cb, y_mid, [t[j] + d for j, d in zip(done, hb)],
-                                         hb, factors, _state_terms(grid, cb, y_mid, mu1))
-                for i, error in failed.items():
-                    errors.setdefault(done[i], error)
-                y1 = _take(y_new, done, m)
-                scaled = np.abs(yh - y1) / (np.abs(yh) + ATOL)
-                if scaled.ndim == 1:  # a batch of one: its u and v at once
-                    err = {0: float(np.maximum.reduce(scaled))}
-                else:
-                    err = dict(zip(done, np.maximum.reduce(_per_column(scaled, n), axis=0)
-                                   .reshape(2, -1).max(axis=0).tolist()))
-                x = _extrapolate(y1, yh)
-                if len(done) == m:
-                    y_new = x
-                else:
-                    _per_column(y_new, n)[:, _pair(done, m)] = _per_column(x, n)
-            for i, j in enumerate(acc):
-                e = err.get(j, math.inf)  # inf: the midpoint check failed
-                if e <= 2.0 * TOL:
+            yh, failed, _ = _advance(grid, ca, ym, [t[j] + d for j, d in zip(acc, half)], half,
+                                     factors, _state_terms(grid, ca, ym, mu1))
+            for i, error in failed.items():  # a negative yh is a rejection, not a failure
+                if not isinstance(error, PositivityError):
+                    errors.setdefault(acc[i], error)
+            y1 = _take(y_new, acc, m)
+            scaled = np.abs(yh - y1) / (np.abs(yh) + ATOL)
+            if yh.ndim == 1:  # a batch of one: its u and v at once
+                err, low = [float(np.maximum.reduce(scaled))], [float(np.minimum.reduce(yh))]
+            else:
+                err = (np.maximum.reduce(_per_column(scaled, n), axis=0)
+                       .reshape(2, -1).max(axis=0).tolist())
+                low = _lows(yh, n).reshape(2, -1).min(axis=0).tolist()
+            x = _extrapolate(y1, yh)
+            if len(acc) == m:
+                y_new = x
+            else:
+                _per_column(y_new, n)[:, _pair(acc, m)] = _per_column(x, n)
+            for i, (j, e, low_j) in enumerate(zip(acc, err, low)):
+                if e <= 2.0 * TOL and low_j >= 0.0:
                     proposal[j] = dts[j] * (min(2.0, 0.9 * math.sqrt(TOL / e)) if e else 2.0)
                 elif j not in errors:
                     retry.append(i)

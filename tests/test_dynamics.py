@@ -55,6 +55,9 @@ def test_model_params_validation(zero_V):
     with pytest.raises(ValueError):
         ModelParams(lam=0.0, mu=-0.5, c=1.0, V=zero_V)  # flux is a source
     ModelParams(lam=0.0, mu=0.5, c=0.0, V=zero_V)  # c = 0 allowed (comparison runs)
+    for name in ("lam", "mu", "c"):  # a bool is no number; a report wrote "lambda": true
+        with pytest.raises(ValueError, match=name):
+            ModelParams(**{"lam": 0.0, "mu": 0.5, "c": 1.0, "V": zero_V, name: True})
 
 
 def test_step_control_validation():
@@ -70,6 +73,10 @@ def test_step_control_validation():
             StepControl(t_end=1.0, dt=dt)
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, output_every=0)
+    with pytest.raises(ValueError, match="t_end"):
+        StepControl(t_end=True)  # a bool is no time
+    with pytest.raises(ValueError, match="dt"):
+        StepControl(t_end=1.0, dt=True)
 
 
 @pytest.mark.parametrize("every", [2.5, True, 2.0, "2"])
@@ -432,7 +439,7 @@ def test_auto_dt_never_calls_v_prime(grid65):
 
 
 def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
-    # one bound per step, plus one midpoint check per step doubling
+    # one bound per step, at its start; no half step is bounded apart
     calls = []
 
     def counted(*args, **kwargs):
@@ -444,7 +451,7 @@ def test_auto_dt_run_calls_cfl_dt_once_per_step(grid65, monkeypatch):
     ctrl = StepControl(t_end=1.0, dt=None, output_every=7)
     traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p, ctrl)
     assert traj.steps_taken > 1 and traj.steps_extrapolated > 0
-    assert len(calls) == traj.steps_taken + traj.steps_extrapolated + traj.steps_rejected
+    assert len(calls) == traj.steps_taken
 
 
 def test_rejected_steps_are_retried_and_counted(grid65, monkeypatch):
@@ -465,31 +472,51 @@ def test_rejected_steps_are_retried_and_counted(grid65, monkeypatch):
     assert traj.steps_rejected >= 1
     assert traj.steps_taken == traj.steps_extrapolated + traj.steps_cfl_bound
     assert traj.steps_taken == len(traj.times) - 1 and traj.times[-1] == 3.0
-    assert len(calls) == traj.steps_taken + traj.steps_extrapolated + traj.steps_rejected
+    assert len(calls) == traj.steps_taken
     assert traj.series("min_u").min() >= 0.0 and traj.series("min_v").min() >= 0.0
     assert traj.min_u_overall >= 0.0 and traj.min_v_overall >= 0.0
 
 
-def test_failed_midpoint_check_halves_the_step(grid65, monkeypatch):
-    # the second half step runs only if cfl_dt at the midpoint admits it;
-    # here the first midpoint check fails, so the first step is retried
-    # at half its dt
-    calls = []
+@pytest.mark.parametrize("u0, growth, deep", [(0.5, -1e3, True), (0.0, -1e-13, False)],
+                         ids=["below-hard-limit", "just-below-zero"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_negative_second_half_step_halves_the_step(grid65, monkeypatch, u0, growth, deep, k):
+    # the second half step is judged by its result: poisoned terms at the
+    # first midpoint send yh below 0, either below POSITIVITY_HARD_LIMIT
+    # (that half step's PositivityError) or just below 0 with an error
+    # estimate within 2*TOL (u = 0, so y1's u is 0), and either way the
+    # first step is retried at half its dt, alone or in a batch
+    dynamics = angiosim.dynamics
+    state_terms, extrapolate = dynamics._state_terms, dynamics._extrapolate
+    terms_calls, lows = [], []
 
-    def shrunk_at_first_midpoint(*args, **kwargs):
-        calls.append(1)
-        bound = cfl_dt(*args, **kwargs)
-        return bound * 1e-6 if len(calls) == 2 else bound
+    def poisoned_at_first_midpoint(*args):
+        terms = state_terms(*args)
+        terms_calls.append(1)
+        if len(terms_calls) == 2:
+            return terms._replace(growth=np.full_like(terms.growth, growth))
+        return terms
 
-    monkeypatch.setattr(angiosim.dynamics, "cfl_dt", shrunk_at_first_midpoint)
-    p = ModelParams(lam=0.0, mu=0.5, c=1.0, V=saturating_power(2.0))
-    traj = run(const_field(grid65, 0.5), const_field(grid65, 0.5), p,
-               StepControl(t_end=0.1, output_every=1))
-    rungs = angiosim.dynamics.DT_RUNGS
-    first = 2.0 ** (math.floor(rungs * math.log2(angiosim.dynamics.TOL)) / rungs)
-    assert traj.steps_rejected == 1
-    assert traj.times[1] == first / 2
-    assert traj.min_u_overall >= 0.0 and traj.min_v_overall >= 0.0
+    def seen(y1, yh):
+        lows.append(yh.min())
+        return extrapolate(y1, yh)
+
+    monkeypatch.setattr(dynamics, "_state_terms", poisoned_at_first_midpoint)
+    monkeypatch.setattr(dynamics, "_extrapolate", seen)
+    V = saturating_power(2.0)
+    params = [ModelParams(lam=0.0, mu=mu, c=1.0, V=V) for mu in (0.5, 1.2)[:k]]
+    trajs = run_batch(const_field(grid65, u0), const_field(grid65, 0.5), params,
+                      StepControl(t_end=0.1, output_every=1))
+    if deep:
+        assert lows[0] < dynamics.POSITIVITY_HARD_LIMIT
+    else:
+        assert dynamics.POSITIVITY_HARD_LIMIT < lows[0] < 0.0
+    first = 2.0 ** (math.floor(dynamics.DT_RUNGS * math.log2(dynamics.TOL)) / dynamics.DT_RUNGS)
+    for traj in trajs:
+        assert traj.steps_rejected == 1
+        assert traj.times[1] == first / 2
+        assert traj.series("min_u").min() >= 0.0 and traj.series("min_v").min() >= 0.0
+        assert traj.min_u_overall >= 0.0 and traj.min_v_overall >= 0.0
 
 
 def test_negative_extrapolation_takes_the_half_steps(grid65, monkeypatch):
